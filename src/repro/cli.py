@@ -157,7 +157,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         workloads=args.workloads or DEFAULT_WORKLOADS,
         systems=args.systems,
-        compare_legacy=args.compare_legacy,
         quick=args.quick,
         progress=None if args.json else progress,
     )
@@ -629,8 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timing repeats per spec, best-of-N (default: 3)")
     p.add_argument("--quick", action="store_true",
                    help="small fixed matrix, one repeat (CI smoke configuration)")
-    p.add_argument("--compare-legacy", action="store_true",
-                   help="also time the legacy interpreter (predecode=False) and report speedups")
     p.add_argument("-o", "--output", default=None, metavar="FILE.json",
                    help="write the JSON report (e.g. BENCH_sim_throughput.json)")
     p.add_argument("--json", action="store_true", help="print the JSON report to stdout")

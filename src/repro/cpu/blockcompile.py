@@ -1,36 +1,24 @@
-"""Trace-compiled execution tier: hot loop bodies lowered to fused closures.
+"""Compiled execution tier: hot loop bodies lowered to fused closures.
 
 :mod:`repro.cpu.hotspot` finds innermost loop regions (a straight-line body
 ending in a conditional branch back to the head); this module compiles each
 region *once* into a single Python function executing one whole guest
 iteration — body plus loop branch — per host dispatch, looping while the
-branch stays taken.  Two lowerings exist, matching the two predecoded run
-loops:
+branch stays taken.  Blocks run from the record-free fast loop only (no
+retire hooks, no suppressor), so architectural semantics and the timing
+scoreboard are both fully inlined.  Scoreboard state lives in locals for
+the whole block and is written back through one
+``TimingModel.block_commit`` call; per-op instruction counts are
+reconstructed from the iteration count on exit.  Faults restore the exact
+architected state of the faulting op via the ``core._block_fault``
+protocol (see ``Core._run_decoded_fast``).
 
-* **fast tier** (no retire hooks, no suppressor): architectural semantics
-  and the timing scoreboard are both fully inlined.  Scoreboard state lives
-  in locals for the whole block and is written back through one
-  ``TimingModel.block_commit`` call; per-op instruction counts are
-  reconstructed from the iteration count on exit.  Faults restore the exact
-  legacy architected state via the ``core._block_fault`` protocol (see
-  ``Core._run_decoded_fast``).
-
-* **traced tier** (DSA or trace sinks attached): every instruction still
-  produces its :class:`~repro.cpu.trace.TraceRecord`, consults the
-  suppressor, charges timing through the shared ``charge_*_decoded``
-  methods (the DSA mutates timing mid-run, so the scoreboard cannot be
-  batched), and is delivered to the hooks — but through code specialised
-  per instruction instead of the generic dispatch loop.  Any observable
-  deviation (a hook halting the core or redirecting the PC) deoptimises by
-  returning to the interpreter before the next instruction.
-
-Both lowerings are byte-identical to the legacy interpreter — the same
-golden-identity suite that polices the predecoded loops covers them
-(``tests/cpu/test_predecode_identity.py``).
+Results are pinned by the golden run matrix (``tests/golden_runs.json``),
+which every execution tier must reproduce bit for bit.
 
 The generated source intentionally mirrors ``TimingModel._issue_slot`` /
 ``charge_scalar_decoded`` / ``charge_vector_decoded`` line for line; any
-change there must be reflected here (the identity suite will catch a
+change there must be reflected here (the golden matrix will catch a
 mismatch, since cycle counts feed the serialized RunResult).
 """
 
@@ -39,7 +27,6 @@ from __future__ import annotations
 from ..isa.instructions import (
     Alu,
     AluKind,
-    Branch,
     Cmp,
     CmpKind,
     FloatOp,
@@ -49,13 +36,11 @@ from ..isa.instructions import (
     MulKind,
     Nop,
 )
-from ..isa.neon import VInstr
 from ..isa.operands import Cond, Imm, IndexMode, Reg, ShiftedReg, ShiftKind
 from ..isa.dtypes import float_to_bits, to_u32
 from .executor import Flags, alu_compute, float_compute, mul_compute
 from .hotspot import find_region
 from .predecode import DecodedProgram
-from .trace import MemAccess, TraceRecord
 
 _M = 4294967295   # 32-bit mask
 _S = 2147483648   # sign bit
@@ -132,13 +117,9 @@ def _flag_ctor(r, c_expr, v_expr):
     return f"F({r} >= {_S}, {r} == 0, {c_expr}, {v_expr})"
 
 
-def _arch_lines(op, j, ns, fget, fset):
-    """Architectural semantics of one body op as source lines.
-
-    ``fget`` is source yielding the *current* Flags object (may emit a
-    temp via the returned lines), ``fset`` is the assignment target for a
-    new Flags object (``flags`` in the fast tier, ``core.flags`` traced).
-    """
+def _arch_lines(op, j, ns):
+    """Architectural semantics of one body op as source lines; the current
+    Flags object lives in the local ``flags``."""
     instr = op.instr
     out: list[str] = []
     if isinstance(instr, Alu):
@@ -158,18 +139,18 @@ def _arch_lines(op, j, ns, fget, fset):
             out.append("_w = _a + _b")
             out.append(f"_r = _w & {_M}")
             out.append(f"regs[{rd}] = _r")
-            out.append(fset + " = " + _flag_ctor(
+            out.append("flags = " + _flag_ctor(
                 "_r", f"_w > {_M}",
                 f"((_a ^ _b ^ {_M}) & (_a ^ _r) & {_S}) != 0"))
         elif kind is AluKind.SUB:
             out.append(f"_r = (_a - _b) & {_M}")
             out.append(f"regs[{rd}] = _r")
-            out.append(fset + " = " + _flag_ctor(
+            out.append("flags = " + _flag_ctor(
                 "_r", "_a >= _b", f"((_a ^ _b) & (_a ^ _r) & {_S}) != 0"))
         elif kind is AluKind.RSB:
             out.append(f"_r = (_b - _a) & {_M}")
             out.append(f"regs[{rd}] = _r")
-            out.append(fset + " = " + _flag_ctor(
+            out.append("flags = " + _flag_ctor(
                 "_r", "_b >= _a", f"((_b ^ _a) & (_b ^ _r) & {_S}) != 0"))
         else:
             tmpl = _ALU_INLINE.get(kind)
@@ -179,8 +160,7 @@ def _arch_lines(op, j, ns, fget, fset):
                 ns[f"K{j}"] = kind
                 out.append(f"_r = alu_compute(K{j}, _a, _b)")
             out.append(f"regs[{rd}] = _r")
-            f = fget(out)
-            out.append(fset + " = " + _flag_ctor("_r", f + ".c", f + ".v"))
+            out.append("flags = " + _flag_ctor("_r", "flags.c", "flags.v"))
         return out
     if isinstance(instr, Mov):
         rd = instr.rd.index
@@ -219,18 +199,17 @@ def _arch_lines(op, j, ns, fget, fset):
         out.append(f"_b = {b}")
         if kind is CmpKind.CMP:
             out.append(f"_r = (_a - _b) & {_M}")
-            out.append(fset + " = " + _flag_ctor(
+            out.append("flags = " + _flag_ctor(
                 "_r", "_a >= _b", f"((_a ^ _b) & (_a ^ _r) & {_S}) != 0"))
         elif kind is CmpKind.CMN:
             out.append("_w = _a + _b")
             out.append(f"_r = _w & {_M}")
-            out.append(fset + " = " + _flag_ctor(
+            out.append("flags = " + _flag_ctor(
                 "_r", f"_w > {_M}",
                 f"((_a ^ _b ^ {_M}) & (_a ^ _r) & {_S}) != 0"))
         else:  # TST
             out.append("_r = _a & _b")
-            f = fget(out)
-            out.append(fset + " = " + _flag_ctor("_r", f + ".c", f + ".v"))
+            out.append("flags = " + _flag_ctor("_r", "flags.c", "flags.v"))
         return out
     if isinstance(instr, Mem):
         return _mem_lines(instr, j, ns, out)
@@ -240,9 +219,9 @@ def _arch_lines(op, j, ns, fget, fset):
 
 
 def _mem_lines(instr: Mem, j, ns, out):
-    # legacy ordering (step / predecode closures): ea and new_base are both
+    # same ordering as the predecode closures: ea and new_base are both
     # computed from the *old* base, the access happens, and the base is
-    # written back last — so rd == base keeps the legacy aliasing behaviour
+    # written back last — so rd == base keeps the same aliasing behaviour
     bidx = instr.addr.base.index
     mode = instr.addr.mode
     size = instr.dtype.size
@@ -277,7 +256,7 @@ def _mem_lines(instr: Mem, j, ns, out):
 
 
 # ----------------------------------------------------------------------
-# inlined timing (fast tier only; mirrors TimingModel exactly)
+# inlined timing (mirrors TimingModel exactly)
 # ----------------------------------------------------------------------
 def _issue_lines(op, width, out, reads_flags=False):
     """Inline ``_issue_slot(earliest)``: leaves the issue cycle in ``_e``."""
@@ -353,7 +332,7 @@ def _vector_timing_lines(op, config, out):
 
 
 # ----------------------------------------------------------------------
-# fast-tier lowering
+# lowering
 # ----------------------------------------------------------------------
 def _gen_fast(dec: DecodedProgram, head: int, br: int, config):
     ops = dec.ops
@@ -384,9 +363,6 @@ def _gen_fast(dec: DecodedProgram, head: int, br: int, config):
         "PREF_V": tuple(pref_v),
     }
 
-    def fget(out):
-        return "flags"
-
     body: list[str] = []
     for j, op in enumerate(region[:-1]):
         instr = op.instr
@@ -402,12 +378,12 @@ def _gen_fast(dec: DecodedProgram, head: int, br: int, config):
             continue
         if isinstance(instr, Mem):
             body.append(f"_k = {j}")
-            body.extend(_arch_lines(op, j, ns, fget, "flags"))
+            body.extend(_arch_lines(op, j, ns))
             body.append(f"_ml = hierarchy_access(_ea, {instr.dtype.size}, {instr.is_store})")
             body.append("mem_stall += _ml")
             _scalar_timing_lines(op, config, body, is_mem=True)
             continue
-        body.extend(_arch_lines(op, j, ns, fget, "flags"))
+        body.extend(_arch_lines(op, j, ns))
         _scalar_timing_lines(op, config, body)
     body.append("taken = " + cond_expr.format(f="flags"))
     _scalar_timing_lines(branch_op, config, body, is_branch=True)
@@ -463,166 +439,18 @@ def _gen_fast(dec: DecodedProgram, head: int, br: int, config):
 
 
 # ----------------------------------------------------------------------
-# traced-tier lowering
-# ----------------------------------------------------------------------
-def _reads_tuple(op):
-    parts = [f"({i}, regs[{i}])" for i in op.read_idx]
-    if not parts:
-        return "()"
-    if len(parts) == 1:
-        return f"({parts[0]},)"
-    return "(" + ", ".join(parts) + ")"
-
-
-def _writes_tuple(op):
-    parts = [f"({i}, regs[{i}])" for i in op.write_idx]
-    if not parts:
-        return "()"
-    if len(parts) == 1:
-        return f"({parts[0]},)"
-    return "(" + ", ".join(parts) + ")"
-
-
-def _gen_traced(dec: DecodedProgram, head: int, br: int, config):
-    ops = dec.ops
-    region = [ops[i] for i in range(head, br + 1)]
-    branch_op = region[-1]
-    cond = branch_op.instr.cond
-    cond_expr = _COND_EXPR.get(cond)
-    if cond_expr is None:
-        raise _Unsupported(f"condition {cond!r}")
-    n = len(region)
-    head_pc = dec.base + (head << 2)
-    exit_pc = dec.base + ((br + 1) << 2)
-
-    ns = {
-        "F": Flags,
-        "TR": TraceRecord,
-        "MA": MemAccess,
-        "alu_compute": alu_compute,
-        "mul_compute": mul_compute,
-        "float_compute": float_compute,
-        "float_to_bits": float_to_bits,
-    }
-
-    def fget(out):
-        out.append("_f = core.flags")
-        return "_f"
-
-    body: list[str] = []
-    for j, op in enumerate(region[:-1]):
-        instr = op.instr
-        pc = op.pc
-        next_pc = pc + 4
-        ns[f"I{j}"] = instr
-        body.append(f"rr = {_reads_tuple(op)}")
-        if op.is_vector:
-            ns[f"X{j}"] = op.execute
-            body.append(f"_res = X{j}(core)")
-            body.append("_acc = _res[1]")
-            body.append(
-                f"rec = TR(seq + {j}, {pc}, I{j}, {next_pc}, _acc, None, rr, "
-                f"{_writes_tuple(op)})"
-            )
-            body.append("if suppressor is not None and suppressor(rec):")
-            body.append("    note_suppressed()")
-            body.append("else:")
-            body.append("    _ml = 0")
-            body.append("    for _a in _acc:")
-            body.append("        _ml += hierarchy_access(_a.addr, _a.nbytes, _a.is_write)")
-            ns[f"OP{j}"] = op
-            body.append(f"    charge_v(OP{j}, _ml)")
-        elif isinstance(instr, Mem):
-            body.extend(_arch_lines(op, j, ns, fget, "core.flags"))
-            size = instr.dtype.size
-            isw = instr.is_store
-            body.append(
-                f"rec = TR(seq + {j}, {pc}, I{j}, {next_pc}, (MA(_ea, {size}, "
-                f"{isw}),), None, rr, {_writes_tuple(op)})"
-            )
-            body.append("if suppressor is not None and suppressor(rec):")
-            body.append("    note_suppressed()")
-            body.append("else:")
-            ns[f"OP{j}"] = op
-            body.append(f"    charge(OP{j}, hierarchy_access(_ea, {size}, {isw}))")
-        else:
-            body.extend(_arch_lines(op, j, ns, fget, "core.flags"))
-            body.append(
-                f"rec = TR(seq + {j}, {pc}, I{j}, {next_pc}, (), None, rr, "
-                f"{_writes_tuple(op)})"
-            )
-            body.append("if suppressor is not None and suppressor(rec):")
-            body.append("    note_suppressed()")
-            body.append("else:")
-            ns[f"OP{j}"] = op
-            body.append(f"    charge(OP{j})")
-        body.append(f'icounts["{op.kind_name}"] += 1')
-        body.append(f"core.seq = seq + {j + 1}")
-        body.append(f"core.pc = {next_pc}")
-        body.append("for _h in hooks:")
-        body.append("    _h(rec)")
-        body.append(f"if core.halted or core.pc != {next_pc}:")
-        body.append("    return")
-
-    j = n - 1
-    ns[f"I{j}"] = branch_op.instr
-    ns[f"OP{j}"] = branch_op
-    body.append("_f = core.flags")
-    body.append("taken = " + cond_expr.format(f="_f"))
-    body.append(f"_np = {head_pc} if taken else {exit_pc}")
-    body.append(f"rec = TR(seq + {j}, {branch_op.pc}, I{j}, _np, (), taken, (), ())")
-    body.append("if suppressor is not None and suppressor(rec):")
-    body.append("    note_suppressed()")
-    body.append("else:")
-    body.append(f"    charge(OP{j}, 0, not taken)")
-    body.append('icounts["Branch"] += 1')
-    body.append(f"core.seq = seq + {n}")
-    body.append("core.pc = _np")
-    body.append("for _h in hooks:")
-    body.append("    _h(rec)")
-    body.append("if core.halted or core.pc != _np or not taken:")
-    body.append("    return")
-
-    lines = [
-        "def __block_run__(core, limit):",
-        "    regs = core.regs",
-        "    memory = core.memory",
-        "    mem_write = memory.write",
-        "    mem_read = memory.read_value",
-        "    hierarchy_access = core.hierarchy.access",
-        "    timing = core.timing",
-        "    charge = timing.charge_scalar_decoded",
-        "    charge_v = timing.charge_vector_decoded",
-        "    note_suppressed = timing.note_suppressed",
-        "    icounts = core.icounts",
-        "    hooks = core.retire_hooks",
-        "    while True:",
-        "        seq = core.seq",
-        f"        if seq + {n} > limit:",
-        "            return",
-        "        suppressor = core.timing_suppressor",
-    ]
-    lines += ["        " + ln for ln in body]
-    return "\n".join(lines) + "\n", ns
-
-
-# ----------------------------------------------------------------------
-def compile_region(dec: DecodedProgram, head: int, config, traced: bool):
-    """Compile the region at ``head`` for one tier, or None if refused."""
+def compile_region(dec: DecodedProgram, head: int, config):
+    """Compile the region at ``head``, or None if refused."""
     region = find_region(dec, head)
     if region is None:
         return None
     head, br = region
     try:
-        if traced:
-            src, ns = _gen_traced(dec, head, br, config)
-        else:
-            src, ns = _gen_fast(dec, head, br, config)
+        src, ns = _gen_fast(dec, head, br, config)
     except _Unsupported:
         return None
     head_pc = dec.base + (head << 2)
-    tier = "traced" if traced else "fast"
-    code = compile(src, f"<compiled {tier} block 0x{head_pc:x}>", "exec")
+    code = compile(src, f"<compiled block 0x{head_pc:x}>", "exec")
     exec(code, ns)
     blk = CompiledBlock(
         run=ns["__block_run__"],
@@ -632,7 +460,7 @@ def compile_region(dec: DecodedProgram, head: int, config, traced: bool):
         exit_pc=dec.base + ((br + 1) << 2),
         n_ops=br - head + 1,
     )
-    if not traced and config.compile_numpy:
+    if config.compile_numpy:
         from .bulkloop import attach_bulk
 
         attach_bulk(blk, dec, head, br, config)

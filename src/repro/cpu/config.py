@@ -63,38 +63,29 @@ class CPUConfig:
     clock_hz: float = 1e9
     issue_width: int = 2
     mispredict_penalty: int = 8
-    #: decode the program once at core construction and run the
-    #: direct-dispatch fast path; False keeps the legacy per-step
-    #: interpreter (byte-identical results — kept for one release as the
-    #: golden reference the identity suite compares against)
-    predecode: bool = True
-    #: third execution tier above the predecoded interpreter: straight-line
-    #: hot loop bodies are compiled once into a fused closure executing a
-    #: whole guest iteration per host dispatch with batched timing.
-    #: Byte-identical to the legacy interpreter (same golden harness);
-    #: requires ``predecode``
+    #: execution tiers.  Every combination reproduces the golden run
+    #: matrix (tests/golden_runs.json) bit for bit; the knobs trade host
+    #: time only.  The program is always predecoded into direct-dispatch
+    #: closures (repro.cpu.predecode) and run by the record-free fast loop
+    #: or, with retire hooks or a timing suppressor attached, the traced
+    #: loop.
+    #:
+    #: compiled tier: straight-line hot loop bodies are compiled once into
+    #: a fused closure executing a whole guest iteration per host dispatch
+    #: with batched timing (fast loop only)
     compile_hot: bool = True
-    #: taken backward branches to the same target before its region is
-    #: considered hot and handed to the block compiler
-    hot_threshold: int = 8
-    #: also compile hot regions in the *traced* loop (retire hooks or a
-    #: timing suppressor attached — the DSA path): records are still built
-    #: and delivered one per instruction, but through specialized
-    #: per-instruction code instead of the generic interpreter
-    compile_traced: bool = True
     #: lower eligible straight-line lane math (affine load/ALU/store
     #: bodies) to a numpy kernel inside the compiled block
     compile_numpy: bool = True
     #: covered execution: once an attached DSA has fully characterized a
     #: loop (template built, verdict rendered, address streams stable) it
-    #: may declare the PC region *covered* and release whole iterations to
-    #: the record-free runners in ``repro.cpu.covered``, bulk-folding its
+    #: may declare the PC region *covered* and retire whole iterations
+    #: record-free (see ``repro.cpu.covered``), bulk-folding its
     #: own per-record bookkeeping afterwards.  The DSA re-arms (the traced
     #: loop resumes, exactly as with this knob off) on any phase-change
     #: signal: control leaving the region, a new backward branch inside
     #: it, an address misprediction, guard mode, an active fault plan, an
-    #: attached observer, or a wall-clock deadline hook.  Byte-identical
-    #: results either way; requires ``predecode``
+    #: attached observer, or a wall-clock deadline hook
     covered_execution: bool = True
     #: which vector engine the core instantiates — a name accepted by
     #: repro.vector.get_backend ("neon" = the paper's fixed 128-bit unit,
@@ -112,8 +103,6 @@ class CPUConfig:
             raise ConfigError("issue width must be at least 1")
         if self.clock_hz <= 0:
             raise ConfigError("clock must be positive")
-        if self.hot_threshold < 1:
-            raise ConfigError("hot threshold must be at least 1")
         # Validate eagerly so a bad backend/VL pair fails at config time,
         # not at first dispatch deep inside a worker process.  The import
         # is deferred: repro.vector sits above this module.

@@ -20,41 +20,12 @@ from typing import Callable
 
 from ..errors import ExecutionError
 from ..isa.dtypes import to_u32
-from ..isa.instructions import (
-    Alu,
-    AluKind,
-    Branch,
-    BranchReg,
-    Cmp,
-    CmpKind,
-    FloatOp,
-    Halt,
-    Instruction,
-    Mem,
-    Mov,
-    Mul,
-    Nop,
-)
-from ..isa.neon import VInstr
-from ..isa.operands import Cond, LR
 from ..isa.program import INSTRUCTION_BYTES, Program
 from ..memory.backing import MainMemory
 from ..memory.hierarchy import MemoryHierarchy
 from ..observe.events import EventKind
 from .config import CPUConfig, DEFAULT_CPU_CONFIG
-from .executor import (
-    Flags,
-    alu_compute,
-    cond_holds,
-    effective_address,
-    eval_operand2,
-    flags_for_add,
-    flags_for_logical,
-    flags_for_sub,
-    float_compute,
-    load_to_register,
-    mul_compute,
-)
+from .executor import Flags
 from .hotspot import FAILED as _FAILED, HotspotTable
 from .predecode import DecodedProgram, predecode
 from .timing import TimingModel
@@ -74,8 +45,8 @@ class CoreResult:
     halted: bool
     icounts: Counter = field(default_factory=Counter)
     hierarchy_stats: dict = field(default_factory=dict)
-    #: instructions retired per execution tier (legacy / fast / traced /
-    #: compiled / bulk / covered) — diagnostic only, never serialized into
+    #: instructions retired per execution tier (fast / traced / compiled /
+    #: bulk / covered) — diagnostic only, never serialized into
     #: the canonical RunResult payload
     tier_counts: dict = field(default_factory=dict)
 
@@ -127,24 +98,13 @@ class Core:
         self.tier_counts: Counter = Counter()
         #: covered-execution hand-off, installed by DSA.attach when
         #: config.covered_execution: called at every taken backward branch
-        #: in the traced loop as cover_hook(head_pc, max_instructions);
-        #: truthy means skip traced-block dispatch for this branch — a
-        #: record-free covered stretch retired (control is wherever it left
-        #: the region) or the hook is holding the loop in the interpreter
-        #: while the region's verdict matures
-        self.cover_hook: Callable[[int, int], bool] | None = None
-        #: loop-boundary crossings of the last covered.run_scalar_region
-        #: call (retirements of the region's end branch, either direction)
+        #: in the traced loop as cover_hook(head_pc, max_instructions); it
+        #: may retire a record-free stretch of the loop, leaving control
+        #: wherever the stretch left the region
+        self.cover_hook: Callable[[int, int], None] | None = None
+        #: loop-boundary crossings of the last windowed fast-loop run
+        #: (retirements of the window's end branch, either direction)
         self._region_boundaries: int = 0
-
-    @property
-    def neon(self):
-        """Deprecated alias for :attr:`vector` (pre-backend-redesign name).
-
-        Kept so external scripts keep working; new code should use
-        ``core.vector``, which may be any :class:`repro.vector.VectorBackend`.
-        """
-        return self.vector
 
     # ------------------------------------------------------------------
     # register convenience (harness-facing)
@@ -154,143 +114,6 @@ class Core:
 
     def get_reg(self, index: int) -> int:
         return self.regs[index]
-
-    # ------------------------------------------------------------------
-    def step(self) -> TraceRecord:
-        """Execute and retire one instruction."""
-        if self.halted:
-            raise ExecutionError("core is halted")
-        pc = self.pc
-        instr = self.program.instr_at(pc)
-        reg_reads = tuple((r.index, self.regs[r.index]) for r in sorted(instr.regs_read(), key=lambda r: r.index))
-
-        next_pc = pc + INSTRUCTION_BYTES
-        accesses: list[MemAccess] = []
-        branch_taken: bool | None = None
-        mispredicted = False
-        reads_flags = False
-        sets_flags = False
-
-        if isinstance(instr, VInstr):
-            events = self.vector.execute(instr, self.regs, self.memory)
-            accesses = [MemAccess(e.addr, e.nbytes, e.is_write) for e in events]
-        elif isinstance(instr, Alu):
-            a = self.regs[instr.rn.index]
-            b = eval_operand2(self.regs, instr.op2)
-            result = alu_compute(instr.kind, a, b)
-            self.regs[instr.rd.index] = result
-            if instr.sets_flags:
-                sets_flags = True
-                if instr.kind is AluKind.ADD:
-                    self.flags = flags_for_add(a, b)
-                elif instr.kind is AluKind.SUB:
-                    self.flags = flags_for_sub(a, b)
-                elif instr.kind is AluKind.RSB:
-                    self.flags = flags_for_sub(b, a)
-                else:
-                    self.flags = flags_for_logical(result, self.flags)
-        elif isinstance(instr, Mov):
-            value = eval_operand2(self.regs, instr.op2)
-            self.regs[instr.rd.index] = to_u32(~value) if instr.negate else value
-        elif isinstance(instr, Mul):
-            ra = self.regs[instr.ra.index] if instr.ra is not None else 0
-            self.regs[instr.rd.index] = mul_compute(
-                instr.kind, self.regs[instr.rn.index], self.regs[instr.rm.index], ra
-            )
-        elif isinstance(instr, FloatOp):
-            self.regs[instr.rd.index] = float_compute(
-                instr.kind, self.regs[instr.rn.index], self.regs[instr.rm.index]
-            )
-        elif isinstance(instr, Cmp):
-            sets_flags = True
-            a = self.regs[instr.rn.index]
-            b = eval_operand2(self.regs, instr.op2)
-            if instr.kind is CmpKind.CMP:
-                self.flags = flags_for_sub(a, b)
-            elif instr.kind is CmpKind.CMN:
-                self.flags = flags_for_add(a, b)
-            else:  # TST
-                self.flags = flags_for_logical(a & b, self.flags)
-        elif isinstance(instr, Mem):
-            ea, new_base = effective_address(self.regs, instr.addr)
-            if instr.is_store:
-                raw = self.regs[instr.rd.index] & ((1 << (instr.dtype.size * 8)) - 1)
-                self.memory.write(ea, raw.to_bytes(instr.dtype.size, "little"))
-            else:
-                value = self.memory.read_value(ea, instr.dtype)
-                self.regs[instr.rd.index] = load_to_register(value, instr.dtype)
-            if new_base is not None:
-                self.regs[instr.addr.base.index] = new_base
-            accesses.append(MemAccess(ea, instr.dtype.size, instr.is_store))
-        elif isinstance(instr, Branch):
-            reads_flags = instr.cond is not Cond.AL
-            branch_taken = cond_holds(instr.cond, self.flags)
-            assert isinstance(instr.target, int), "program must be assembled"
-            # ARM semantics: a conditional instruction whose condition fails
-            # retires as a NOP — an untaken BL<cond> must NOT write LR
-            if instr.link and branch_taken:
-                self.regs[LR] = to_u32(pc + INSTRUCTION_BYTES)
-            if branch_taken:
-                next_pc = instr.target
-            # static BTFN predictor: backward predicted taken, forward not
-            predicted_taken = instr.target < pc
-            mispredicted = branch_taken != predicted_taken
-        elif isinstance(instr, BranchReg):
-            branch_taken = True
-            next_pc = self.regs[instr.rm.index]
-            mispredicted = False  # return-address stack assumed perfect
-        elif isinstance(instr, Halt):
-            self.halted = True
-            next_pc = pc
-        elif isinstance(instr, Nop):
-            pass
-        else:
-            raise ExecutionError(f"cannot execute {instr!r}")
-
-        if branch_taken is False and isinstance(instr, Branch) and instr.link:
-            # untaken conditional branch-link retired as a NOP: it wrote
-            # nothing, so the record must not report a (stale) LR write
-            reg_writes: tuple[tuple[int, int], ...] = ()
-        else:
-            reg_writes = tuple(
-                (r.index, self.regs[r.index])
-                for r in sorted(instr.regs_written(), key=lambda r: r.index)
-            )
-        record = TraceRecord(
-            seq=self.seq,
-            pc=pc,
-            instr=instr,
-            next_pc=next_pc,
-            accesses=tuple(accesses),
-            branch_taken=branch_taken,
-            reg_reads=reg_reads,
-            reg_writes=reg_writes,
-        )
-
-        suppressed = bool(self.timing_suppressor and self.timing_suppressor(record))
-        if suppressed:
-            self.timing.note_suppressed()
-        else:
-            mem_latency = sum(
-                self.hierarchy.access(a.addr, a.nbytes, a.is_write) for a in accesses
-            )
-            if isinstance(instr, VInstr):
-                self.timing.charge_vector(instr, mem_latency)
-            else:
-                self.timing.charge_scalar(
-                    instr,
-                    mem_latency=mem_latency,
-                    mispredicted=mispredicted,
-                    reads_flags=reads_flags,
-                    sets_flags=sets_flags,
-                )
-
-        self.icounts[type(instr).__name__] += 1
-        self.seq += 1
-        self.pc = next_pc
-        for hook in self.retire_hooks:
-            hook(record)
-        return record
 
     # ------------------------------------------------------------------
     def run(self, max_instructions: int = 100_000_000) -> CoreResult:
@@ -307,14 +130,11 @@ class Core:
             return self._run(max_instructions)
         # Observability wraps the whole run; nothing is consulted per retired
         # instruction, so the traced-vs-fast loop choice stays unchanged.
-        if self.config.predecode:
-            path = (
-                "traced"
-                if self.retire_hooks or self.timing_suppressor is not None
-                else "fast"
-            )
-        else:
-            path = "legacy"
+        path = (
+            "traced"
+            if self.retire_hooks or self.timing_suppressor is not None
+            else "fast"
+        )
         observer.emit(EventKind.RUN_BEGIN, path=path)
         span = observer.begin_span("core.run", "cpu", cycle=self.timing.cycles)
         try:
@@ -328,15 +148,19 @@ class Core:
         return result
 
     def _run(self, max_instructions: int) -> CoreResult:
-        if self.config.predecode:
-            self._run_decoded(max_instructions)
+        if self._decoded is None:
+            self._decoded = predecode(self.program, self.config)
+            if self.config.compile_hot:
+                self._hotspots = HotspotTable(self._decoded, self.config)
+        # Observers force the traced loop: retire hooks consume TraceRecords
+        # and a suppressor is *queried* with one per instruction, so both
+        # need the full record stream.  With neither attached there is no
+        # reader — the fast loop skips record construction entirely.
+        # (Attach observers before run(), as every current caller does.)
+        if self.retire_hooks or self.timing_suppressor is not None:
+            self._run_decoded_traced(self._decoded, max_instructions)
         else:
-            s0 = self.seq
-            try:
-                while not self.halted and self.seq < max_instructions:
-                    self.step()
-            finally:
-                self.tier_counts["legacy"] += self.seq - s0
+            self._run_decoded_fast(self._decoded, max_instructions)
         if not self.halted:
             raise ExecutionError(
                 f"program did not halt within {max_instructions} instructions"
@@ -353,45 +177,49 @@ class Core:
         )
 
     # ------------------------------------------------------------------
-    # predecoded run loops (byte-identical to repeated step(); see
-    # tests/cpu/test_predecode_identity.py)
+    # predecoded run loops (pinned by the golden run matrix,
+    # tests/golden_runs.json)
     # ------------------------------------------------------------------
-    def _run_decoded(self, max_instructions: int) -> None:
-        if self._decoded is None:
-            self._decoded = predecode(self.program, self.config)
-            if self.config.compile_hot:
-                self._hotspots = HotspotTable(self._decoded, self.config)
-        # Observers force the traced loop: retire hooks consume TraceRecords
-        # and a suppressor is *queried* with one per instruction, so both
-        # need the full record stream.  With neither attached there is no
-        # reader — the fast loop skips record construction entirely.
-        # (Attach observers before run(), as every current caller does.)
-        if self.retire_hooks or self.timing_suppressor is not None:
-            self._run_decoded_traced(self._decoded, max_instructions)
-        else:
-            self._run_decoded_fast(self._decoded, max_instructions)
-
-    def _run_decoded_fast(self, dec: DecodedProgram, max_instructions: int) -> None:
+    def _run_decoded_fast(
+        self,
+        dec: DecodedProgram,
+        max_instructions: int,
+        window: tuple[int, int] | None = None,
+        tier: str = "fast",
+    ) -> None:
         """Record-free inner loop: no TraceRecord, no per-step attribute
-        traffic; per-op retire counts are aggregated into ``icounts`` on exit
-        (legacy counts first-retirement insertion order, this counts program
-        order — Counter equality and sorted serialization are unaffected)."""
+        traffic; per-op retire counts are aggregated into ``icounts`` on
+        exit, and every retirement outside a compiled block is credited to
+        ``tier``.
+
+        Without a ``window`` it runs the whole text and fetching outside it
+        raises :class:`ExecutionError`.  With ``window = (head_pc, end_pc)``
+        — a loop region handed over by covered execution — it returns as
+        soon as control leaves ``[head_pc, end_pc]`` and leaves the number
+        of end-branch retirements in ``_region_boundaries``.
+        """
         if self.halted:
             return
         ops = dec.ops
         base = dec.base
         n = dec.n
+        if window is None:
+            lo_pc, hi_pc = 0, 1 << 32  # never left: the fetch check raises
+            lo_idx, hi_idx = 0, n - 1
+        else:
+            lo_pc, hi_pc = window
+            lo_idx, hi_idx = (lo_pc - base) >> 2, (hi_pc - base) >> 2
         timing = self.timing
         charge_scalar = timing.charge_scalar_decoded
         charge_vector = timing.charge_vector_decoded
         hierarchy_access = self.hierarchy.access
         counts = [0] * len(ops)
         hot = self._hotspots
-        tier = self.tier_counts
+        tiers = self.tier_counts
         seq = self.seq
         seq0 = seq
         blk_ops = 0            # retired inside compiled blocks (incl. bulk)
-        b0 = tier["bulk"]      # bulk batches bump their tier directly
+        b0 = tiers["bulk"]     # bulk batches bump their tier directly
         pc = self.pc
         idx = (pc - base) >> 2
         try:
@@ -425,8 +253,10 @@ class Core:
                 if branch_taken is None:
                     idx += 1
                     continue
+                if pc < lo_pc or pc > hi_pc:
+                    break  # control left the window: hand back to the caller
                 new_idx = (pc - base) >> 2
-                # trace-compiled tier: a taken backward branch is a loop
+                # compiled tier: a taken backward branch is a loop
                 # head candidate — count it, and once a compiled block
                 # exists run whole iterations through it
                 if (
@@ -470,38 +300,41 @@ class Core:
                         else:
                             idx = blk.exit_idx
                             pc = blk.exit_pc
+                            if pc > hi_pc:
+                                break
                         continue
                 idx = new_idx
         finally:
-            # exceptions (bad fetch, memory fault) leave the same architected
-            # state the legacy loop would: the faulting op not yet retired
+            # exceptions (bad fetch, memory fault) leave the architected
+            # state at the faulting op, not yet retired
             self.seq = seq
             self.pc = pc
             icounts = self.icounts
-            for i in range(n):
+            for i in range(lo_idx, hi_idx + 1):
                 c = counts[i]
                 if c:
                     icounts[ops[i].kind_name] += c
-            bulk_d = tier["bulk"] - b0
-            tier["compiled"] += blk_ops - bulk_d
-            tier["fast"] += (seq - seq0) - blk_ops
+            bulk_d = tiers["bulk"] - b0
+            tiers["compiled"] += blk_ops - bulk_d
+            tiers[tier] += (seq - seq0) - blk_ops
+            if window is not None:
+                self._region_boundaries = counts[hi_idx]
 
     def _run_decoded_traced(self, dec: DecodedProgram, max_instructions: int) -> None:
         """Full-fidelity loop: builds every TraceRecord and drives the
-        suppressor and retire hooks exactly like step(), but executes through
-        the predecoded closures and precomputed register metadata."""
-        hot = self._hotspots if self.config.compile_traced else None
+        suppressor and retire hooks, executing through the predecoded
+        closures and precomputed register metadata."""
         tier = self.tier_counts
         seq0 = self.seq
         # the other tiers fold their own residency; traced is the residual
         c0 = tier["compiled"] + tier["bulk"] + tier["covered"]
         try:
-            self._traced_loop(dec, max_instructions, hot)
+            self._traced_loop(dec, max_instructions)
         finally:
             other = tier["compiled"] + tier["bulk"] + tier["covered"] - c0
             tier["traced"] += (self.seq - seq0) - other
 
-    def _traced_loop(self, dec: DecodedProgram, max_instructions: int, hot) -> None:
+    def _traced_loop(self, dec: DecodedProgram, max_instructions: int) -> None:
         ops = dec.ops
         base = dec.base
         n = dec.n
@@ -511,7 +344,6 @@ class Core:
         charge_vector = timing.charge_vector_decoded
         hierarchy_access = self.hierarchy.access
         icounts = self.icounts
-        tier = self.tier_counts
         while not self.halted and self.seq < max_instructions:
             pc = self.pc
             idx = (pc - base) >> 2
@@ -570,34 +402,17 @@ class Core:
             for hook in self.retire_hooks:
                 hook(record)
             # a taken backward branch the hooks left alone is the hand-off
-            # point for the record-free tiers: first offer the region to
-            # covered execution (the DSA bulk-folds its own bookkeeping),
-            # else run whole iterations through the trace-compiled block
-            # (records still delivered one per instruction)
+            # point to covered execution (the DSA bulk-folds its own
+            # bookkeeping for whatever it retires record-free)
+            cover = self.cover_hook
             if (
-                branch_taken
+                cover is not None
+                and branch_taken
                 and next_pc < pc
                 and not self.halted
                 and self.pc == next_pc
             ):
-                cover = self.cover_hook
-                if cover is not None and cover(next_pc, max_instructions):
-                    continue
-                if hot is None:
-                    continue
-                new_idx = (next_pc - base) >> 2
-                if new_idx >= 0 and next_pc == base + (new_idx << 2):
-                    blk = hot.traced[new_idx]
-                    if blk is None:
-                        blk = hot.lookup_traced(new_idx)
-                    elif blk is _FAILED:
-                        blk = None
-                    if blk is not None:
-                        s_blk = self.seq
-                        try:
-                            blk.run(self, max_instructions)
-                        finally:
-                            tier["compiled"] += self.seq - s_blk
+                cover(next_pc, max_instructions)
 
 
 def run_program(

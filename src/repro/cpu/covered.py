@@ -1,12 +1,11 @@
-"""Covered-execution runners: record-free retirement inside released regions.
+"""Covered execution: record-free retirement inside released regions.
 
 Once an attached DSA has fully characterized a loop (see
 ``repro.dsa.engine``) it *covers* the PC region: instead of interpreting
 one instruction per traced-loop pass and handing each a
-:class:`~repro.cpu.trace.TraceRecord`, the core runs whole iterations
-through one of the runners here and the DSA bulk-folds its own
-per-record effects afterwards.  A covered loop is in one of three timing
-regimes:
+:class:`~repro.cpu.trace.TraceRecord`, the core retires whole iterations
+record-free and the DSA bulk-folds its own per-record effects
+afterwards.  A covered loop is in one of three timing regimes:
 
 * **suppressed cover** — the loop is in suppressed EXECUTE: in the traced
   world every retirement inside the region is claimed by the DSA's timing
@@ -18,18 +17,19 @@ regimes:
 
 * **scalar cover** — the loop holds a scalar verdict (context state
   SCALAR): the traced world delivers records whose only effect is
-  ``records_observed``.  :func:`run_scalar_region` is a region-bounded
-  clone of ``Core._run_decoded_fast`` — normal timing and hierarchy
-  charges, inner compiled/bulk blocks dispatched as usual — that exits as
-  soon as control leaves ``[head_pc, end_pc]``.
+  ``records_observed``.  The region runs through the core's own
+  record-free fast loop (``Core._run_decoded_fast``) bounded to the
+  ``[head_pc, end_pc]`` window — normal timing and hierarchy charges,
+  inner compiled/bulk blocks dispatched as usual — which returns as soon
+  as control leaves the window.
 
 * **post-limit cover** — the loop is still in EXECUTE but the coverage
-  limit has deactivated suppression: normal timing again, so it shares
-  :func:`run_scalar_region` with scalar cover.  The DSA additionally
-  folds the per-boundary iteration bumps it would have made (the runner
-  reports them via ``core._region_boundaries``) and must first prove the
-  skipped per-iteration stream samples are redundant — that is what
-  :func:`_stride_safe` (``CoverRegion.stride_safe``) certifies
+  limit has deactivated suppression: normal timing again, so it runs
+  through the same windowed fast loop as scalar cover.  The DSA
+  additionally folds the per-boundary iteration bumps it would have made
+  (the loop reports them via ``core._region_boundaries``) and must first
+  prove the skipped per-iteration stream samples are redundant — that is
+  what :func:`_stride_safe` (``CoverRegion.stride_safe``) certifies
   statically.
 
 Static eligibility lives in :func:`scan_region` (returning a
@@ -61,15 +61,10 @@ from ..isa.operands import Imm, IndexMode, Reg, ShiftKind
 from ..isa.dtypes import float_to_bits
 from .blockcompile import _COND_EXPR, _Unsupported, _arch_lines
 from .executor import Flags, alu_compute, float_compute, mul_compute
-from .hotspot import FAILED as _FAILED
 
 #: instruction classes a *suppressed* (codegen) cover body may contain —
 #: the straight-line set the block compiler understands, minus vector ops
 _STRAIGHT_BODY = (Alu, Mov, Mul, FloatOp, Cmp, Mem, Nop)
-
-#: instruction classes a *scalar* cover body may contain in addition to
-#: the straight set (the bounded interpreter handles them generically)
-_SCALAR_EXTRA = (Branch, Halt)
 
 #: same complexity bound as the hotspot region finder
 MAX_COVER_OPS = 96
@@ -355,9 +350,6 @@ def compile_covered(dec, region: CoverRegion):
         "F": Flags,
     }
 
-    def fget(out):
-        return "flags"
-
     body_lines: list[str] = []
     mem_no = 0
     try:
@@ -365,7 +357,7 @@ def compile_covered(dec, region: CoverRegion):
             is_mem = isinstance(op.instr, Mem)
             if is_mem:
                 body_lines.append(f"_k = {j}")
-            body_lines.extend(_arch_lines(op, j, ns, fget, "flags"))
+            body_lines.extend(_arch_lines(op, j, ns))
             if is_mem:
                 # check after the access, like the retire-time record the
                 # traced world verifies; _ea still holds this op's address
@@ -416,117 +408,3 @@ def compile_covered(dec, region: CoverRegion):
     exec(code, ns)
     region.block = ns["__covered_run__"]
     return region.block
-
-
-# ----------------------------------------------------------------------
-# scalar cover: region-bounded record-free interpreter, normal timing
-# ----------------------------------------------------------------------
-def run_scalar_region(core, region: CoverRegion, max_instructions: int) -> None:
-    """Run record-free inside ``region`` until control leaves it.
-
-    A faithful, bounds-restricted clone of ``Core._run_decoded_fast``:
-    identical charging, identical compiled/bulk block dispatch on taken
-    backward branches (which inside a valid region can only target the
-    head), identical ``_block_fault`` fault reconstruction and identical
-    per-op ``seq < max_instructions`` cuts.  ``core.seq`` / ``core.pc`` /
-    ``icounts`` / tier counters are folded on every exit path.
-    """
-    dec = core._decoded
-    ops = dec.ops
-    base = dec.base
-    timing = core.timing
-    charge_scalar = timing.charge_scalar_decoded
-    charge_vector = timing.charge_vector_decoded
-    hierarchy_access = core.hierarchy.access
-    tier = core.tier_counts
-    head_idx = region.head_idx
-    end_idx = region.end_idx
-    head_pc = region.head_pc
-    end_pc = region.end_pc
-    counts = [0] * region.n_ops
-    hot = core._hotspots
-    seq = core.seq
-    seq0 = seq
-    pc = core.pc
-    idx = (pc - base) >> 2
-    blk_ops = 0
-    b0 = tier["bulk"]
-    try:
-        while seq < max_instructions:
-            op = ops[idx]
-            result = op.execute(core)
-            counts[idx - head_idx] += 1
-            seq += 1
-            if result is None:
-                charge_scalar(op)
-                idx += 1
-                pc += 4
-                continue
-            next_pc, accesses, branch_taken, mispredicted = result
-            mem_latency = 0
-            for a in accesses:
-                mem_latency += hierarchy_access(a.addr, a.nbytes, a.is_write)
-            if op.is_vector:
-                charge_vector(op, mem_latency)
-            else:
-                charge_scalar(op, mem_latency, mispredicted)
-            pc = next_pc
-            if core.halted:
-                break
-            if branch_taken is None:
-                idx += 1
-                continue
-            if pc < head_pc or pc > end_pc or pc & 3:
-                break  # control left the region: hand back to the core
-            new_idx = (pc - base) >> 2
-            if hot is not None and branch_taken and pc < op.pc:
-                blk = hot.fast[new_idx]
-                if blk is None:
-                    blk = hot.lookup_fast(new_idx)
-                elif blk is _FAILED:
-                    blk = None
-                if blk is not None and seq + blk.n_ops <= max_instructions:
-                    s_blk = seq
-                    try:
-                        seq, taken, iters = blk.run(core, seq, max_instructions)
-                    except BaseException:
-                        f_iters, f_k = core._block_fault
-                        d = f_iters * blk.n_ops + f_k
-                        seq += d
-                        blk_ops += d
-                        pc = blk.head_pc + (f_k << 2)
-                        h0 = blk.head_idx - head_idx
-                        for j in range(blk.n_ops):
-                            c = f_iters + 1 if j < f_k else f_iters
-                            if c:
-                                counts[h0 + j] += c
-                        raise
-                    blk_ops += seq - s_blk
-                    if iters:
-                        h0 = blk.head_idx - head_idx
-                        for j in range(blk.n_ops):
-                            counts[h0 + j] += iters
-                    if taken:
-                        idx = blk.head_idx
-                    else:
-                        idx = blk.exit_idx
-                        pc = blk.exit_pc
-                        if pc < head_pc or pc > end_pc:
-                            break
-                    continue
-            idx = new_idx
-    finally:
-        core.seq = seq
-        core.pc = pc
-        icounts = core.icounts
-        for i in range(region.n_ops):
-            c = counts[i]
-            if c:
-                icounts[ops[head_idx + i].kind_name] += c
-        bulk_d = tier["bulk"] - b0
-        tier["compiled"] += blk_ops - bulk_d
-        tier["covered"] += (seq - seq0) - blk_ops
-        # iteration boundaries crossed = retirements of the end branch
-        # (taken or fall-through), for the caller's bookkeeping; valid on
-        # the fault path too since it runs in this same finally
-        core._region_boundaries = counts[end_idx - head_idx]

@@ -1,17 +1,15 @@
-"""Hot-region detection for the trace-compiled execution tier.
+"""Hot-region detection for the compiled execution tier.
 
-The predecoded run loops count taken backward branches per target index;
-once a target crosses ``CPUConfig.hot_threshold`` the region starting there
-is handed to :mod:`repro.cpu.blockcompile`.  A *region* is an innermost
+The record-free fast loop counts taken backward branches per target index;
+once a target reaches :data:`HOT_THRESHOLD` the region starting there is
+handed to :mod:`repro.cpu.blockcompile`.  A *region* is an innermost
 loop body in the predecoded stream: a straight-line run of scalar/vector
 ops ending in a conditional (non-link) branch back to the head.  Anything
 else — an inner branch, a halt, an indirect branch, an unknown op — makes
 the region uncompilable and the head is marked so it is never probed again.
 
-The table is deliberately dumb: two flat arrays indexed by op index, one
-shared execution counter and one compiled-entry slot per tier (the fast
-loop and the traced loop compile the same region differently; see
-:mod:`repro.cpu.blockcompile`).
+The table is deliberately dumb: two flat arrays indexed by op index, an
+execution counter and a compiled-entry slot.
 """
 
 from __future__ import annotations
@@ -29,6 +27,10 @@ from ..isa.instructions import (
 from ..isa.neon import VInstr
 from ..isa.operands import Cond
 from .predecode import DecodedProgram
+
+#: taken backward branches to the same target before its region is
+#: considered hot and handed to the block compiler
+HOT_THRESHOLD = 8
 
 #: never-retry marker stored in a block slot when compilation was refused
 FAILED = object()
@@ -78,42 +80,27 @@ def find_region(dec: DecodedProgram, head: int) -> tuple[int, int] | None:
 class HotspotTable:
     """Per-core hotness counters and compiled-block cache."""
 
-    __slots__ = ("counts", "fast", "traced", "dec", "config")
+    __slots__ = ("counts", "fast", "dec", "config")
 
     def __init__(self, dec: DecodedProgram, config):
         size = len(dec.ops)
         self.counts = [0] * size
         self.fast: list = [None] * size
-        self.traced: list = [None] * size
         self.dec = dec
         self.config = config
 
     # ------------------------------------------------------------------
     def lookup_fast(self, head: int):
-        """Count one loop-back at ``head``; return a compiled fast-tier
-        block, or None while cold / when the region is uncompilable."""
+        """Count one loop-back at ``head``; return a compiled block, or
+        None while cold / when the region is uncompilable."""
         blk = self.fast[head]
         if blk is None:
             count = self.counts[head] + 1
             self.counts[head] = count
-            if count < self.config.hot_threshold:
+            if count < HOT_THRESHOLD:
                 return None
             from .blockcompile import compile_region
 
-            blk = compile_region(self.dec, head, self.config, traced=False)
+            blk = compile_region(self.dec, head, self.config)
             self.fast[head] = blk if blk is not None else FAILED
-        return None if blk is FAILED else blk
-
-    def lookup_traced(self, head: int):
-        """Traced-tier twin of :meth:`lookup_fast` (same shared counter)."""
-        blk = self.traced[head]
-        if blk is None:
-            count = self.counts[head] + 1
-            self.counts[head] = count
-            if count < self.config.hot_threshold:
-                return None
-            from .blockcompile import compile_region
-
-            blk = compile_region(self.dec, head, self.config, traced=True)
-            self.traced[head] = blk if blk is not None else FAILED
         return None if blk is FAILED else blk

@@ -17,17 +17,16 @@ the dominant host-side costs.  This module lowers an assembled
   object again (see ``TimingModel.charge_scalar_decoded``).
 
 The :class:`DecodedOp` array is also the substrate every higher execution
-tier compiles or scans from — trace-compiled blocks
+tier compiles or scans from — compiled blocks
 (:mod:`repro.cpu.blockcompile`), numpy bulk loops
 (:mod:`repro.cpu.bulkloop`) and covered-execution regions
 (:mod:`repro.cpu.covered`) all consume the static metadata here rather
 than re-deriving it from instruction objects.
 
-The closures execute *exactly* the legacy ``Core.step()`` semantics — same
-pure functions from :mod:`repro.cpu.executor`, same ordering — which the
-golden byte-identity suite (``tests/cpu/test_predecode_identity.py``)
-enforces against the legacy interpreter kept behind
-``CPUConfig.predecode=False``.
+The closures build on the pure functions of :mod:`repro.cpu.executor`.
+Their results are pinned by the golden run matrix
+(``tests/golden_runs.json``): every registered workload on every system
+must reproduce its committed RunResult digest bit for bit.
 
 Execute-closure protocol: a closure receives the live ``Core`` and returns
 
@@ -143,9 +142,9 @@ class DecodedOp:
 
 class DecodedProgram:
     """The predecoded image: ``ops[i]`` executes the instruction at
-    ``base + i*4``.  ``ops[n]`` is a sentinel that raises the same
-    out-of-text error the legacy fetch path produced, so the fast run
-    loop's sequential advance needs no per-step bounds check."""
+    ``base + i*4``.  ``ops[n]`` is a sentinel that raises the
+    out-of-text fetch error, so a run loop's sequential advance needs no
+    per-step bounds check."""
 
     __slots__ = ("ops", "base", "n")
 
@@ -279,8 +278,8 @@ def _build_cmp(instr: Cmp, pc: int):
 
 
 def _build_mem(instr: Mem, pc: int):
-    # legacy ordering (step): compute ea/new_base from the *old* base, do the
-    # access, then write the base back — so with rd == base a store reads the
+    # compute ea/new_base from the *old* base, do the access, then write
+    # the base back — so with rd == base a store reads the
     # pre-writeback value and a load result is overwritten by the writeback
     seq_pc = pc + INSTRUCTION_BYTES
     bidx = instr.addr.base.index
@@ -413,8 +412,8 @@ def _build_vinstr(instr: VInstr, pc: int):
 
 
 def _build_unknown(instr: Instruction, pc: int):
-    """Unknown instruction class: fail at execution, exactly like the
-    legacy interpreter (never at decode — dead code must stay decodable)."""
+    """Unknown instruction class: fail at execution, never at decode —
+    dead code must stay decodable."""
 
     def execute(core):
         raise ExecutionError(f"cannot execute {instr!r}")
@@ -445,8 +444,8 @@ def _builder_for(cls: type) -> Callable:
 
 
 def _sentinel(end_pc: int) -> DecodedOp:
-    """The op one past the end of text: falling into it reproduces the
-    legacy out-of-text fetch error."""
+    """The op one past the end of text: falling into it raises the
+    out-of-text fetch error."""
     op = DecodedOp(Nop(), end_pc)
     op.kind_name = "<end-of-text>"
 

@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from ..cpu.core import Core
-from ..cpu.covered import compile_covered, run_scalar_region, scan_region
+from ..cpu.covered import compile_covered, scan_region
 from ..cpu.trace import TraceRecord
 from ..errors import ReproError
 from ..observe.events import EventKind
@@ -185,17 +185,10 @@ class _LoopContext:
 #: "no plan built yet" marker for the cover-plan cache (None is a verdict)
 _UNBUILT = object()
 
-#: states where a loop's vectorization verdict is still being formed — a
-#: statically coverable region in one of these holds the traced
-#: interpreter (see DynamicSIMDAssembler._cover_hook) instead of letting
-#: a compiled traced block run the loop to completion
-_MATURING = (_State.COLLECT, _State.ANALYZE, _State.MAP_ANALYZE)
-
 #: cover-hook dispatch modes (sentinels compared by identity)
 _COVER_SUPPRESSED = object()   # suppressed EXECUTE: codegen replay, zero timing
 _COVER_POSTLIMIT = object()    # EXECUTE past the coverage limit: normal timing
 _COVER_SCALAR = object()       # SCALAR verdict: record-free fast tier
-_COVER_HOLD = object()         # verdict maturing: stay in the interpreter
 
 
 class DynamicSIMDAssembler:
@@ -268,7 +261,7 @@ class DynamicSIMDAssembler:
         core.retire_hooks.append(self.on_record)
         core.timing_suppressor = self._suppressor
         self._vector = core.vector
-        if core.config.covered_execution and core.config.predecode:
+        if core.config.covered_execution:
             core.cover_hook = self._cover_hook
 
     def _suppressor(self, record: TraceRecord) -> bool:
@@ -315,55 +308,44 @@ class DynamicSIMDAssembler:
     # misprediction, the coverage limit, a backward branch the static
     # scan did not bless, guard mode, a fault injector, an attached
     # observer, or extra retire hooks (e.g. a wall-clock deadline).
-    def _cover_hook(self, head_pc: int, limit: int) -> bool:
+    def _cover_hook(self, head_pc: int, limit: int) -> None:
         """Called by the traced loop at every taken backward branch.
 
-        Returns truthy when the core should skip traced-block dispatch
-        for this branch: either a covered stretch just retired
-        record-free (control is wherever it left the region), or the
-        region is *maturing* — statically coverable but the state
-        machine has not rendered its verdict yet, so the core stays in
-        the (byte-identical) interpreter where this hook keeps firing
-        each iteration instead of letting a compiled traced block
-        swallow the whole loop before suppression can begin.  False
-        re-arms the traced loop exactly as if covering did not exist.
+        Retires a covered stretch of the loop record-free when the region
+        is eligible (control is then wherever it left the region);
+        otherwise returns at once and the traced loop carries on exactly
+        as if covering did not exist.
         """
         ctx = self.contexts.get(head_pc)
         if ctx is None:
-            return False
+            return
         state = ctx.state
         if state is _State.EXECUTE:
             if ctx.pending_abort_reason is not None:
-                return False
+                return
             # suppressed EXECUTE replays the codegen block; once the
             # coverage limit deactivates suppression the remaining
             # iterations run with normal timing ("post-limit")
             mode = _COVER_SUPPRESSED if ctx.suppress_active else _COVER_POSTLIMIT
         elif state is _State.SCALAR:
             mode = _COVER_SCALAR
-        elif state in _MATURING:
-            mode = _COVER_HOLD  # verdict pending: maybe hold the interpreter
         else:
-            return False  # COND_EXECUTE keeps tracing
+            return  # verdict pending or COND_EXECUTE: keep tracing
         if self.guard or self.injector is not None:
-            return False
+            return
         core = self.core
         if self.observer is not None or core.observer is not None:
-            return False  # observation needs the record stream
+            return  # observation needs the record stream
         hooks = core.retire_hooks
         if (
             len(hooks) != 1
             or hooks[0] != self.on_record  # == : bound methods are re-created per access
             or core.timing_suppressor != self._suppressor
         ):
-            return False  # someone else reads records (deadline hook, ...)
+            return  # someone else reads records (deadline hook, ...)
         plan = self._cover_plan(head_pc, ctx.end_pc)
         if plan is None:
-            return False
-        if mode is _COVER_HOLD:
-            # statically coverable but still COLLECT/ANALYZE/MAP_ANALYZE:
-            # hold the interpreter so the hook sees the verdict land
-            return True
+            return
         # every other live context must be inert (SCALAR) and must contain
         # this region: an out-of-range context would be finalized by the
         # first record of each iteration, and delaying that could diverge
@@ -372,22 +354,24 @@ class DynamicSIMDAssembler:
             if other is ctx:
                 continue
             if other.state is not _State.SCALAR:
-                return False
+                return
             if other.call_depth <= 0 and not (
                 other.loop_id <= head_pc and ctx.end_pc <= other.end_pc
             ):
-                return False
+                return
         if mode is _COVER_SUPPRESSED:
-            return self._run_suppressed_cover(ctx, plan, limit)
+            self._run_suppressed_cover(ctx, plan, limit)
+            return
         if self._suppress_set:
-            return False  # records in-region would be claimed: keep tracing
+            return  # records in-region would be claimed: keep tracing
         if mode is _COVER_POSTLIMIT:
             if not plan.stride_safe:
-                return False  # sample appends would be live state
+                return  # sample appends would be live state
             if any(pc not in ctx.streams for pc in plan.mem_pcs):
-                return False  # a fresh pc would raise an unknown-path abort
-            return self._run_postlimit_cover(ctx, plan, limit)
-        return self._run_scalar_cover(plan, limit)
+                return  # a fresh pc would raise an unknown-path abort
+            self._run_window_cover(plan, limit, ctx)
+        else:
+            self._run_window_cover(plan, limit)
 
     def _cover_plan(self, head_pc: int, end_pc: int):
         key = (head_pc, end_pc)
@@ -400,7 +384,7 @@ class DynamicSIMDAssembler:
             self._cover_plans[key] = plan
         return plan
 
-    def _run_suppressed_cover(self, ctx: _LoopContext, plan, limit: int) -> bool:
+    def _run_suppressed_cover(self, ctx: _LoopContext, plan, limit: int) -> None:
         """Release a suppressed-EXECUTE region and replay the DSA effects.
 
         The traced world's per-record effects during suppressed execution
@@ -415,11 +399,11 @@ class DynamicSIMDAssembler:
         first samples.)  All of it is folded here in bulk.
         """
         if plan.block is None or ctx.suppress_pcs != plan.pcs:
-            return False
+            return
         if ctx.suppress_limit is not None:
             budget = ctx.suppress_limit - ctx.covered
             if budget <= 0:
-                return False
+                return
         else:
             budget = 1 << 60
         current = ctx.iteration + 1
@@ -428,10 +412,10 @@ class DynamicSIMDAssembler:
         for pc in plan.mem_pcs:
             stream = ctx.streams.get(pc)
             if stream is None:
-                return False  # unsampled access pattern: keep tracing
+                return  # unsampled access pattern: keep tracing
             a = stream.addr_at(current)
             if a is None:
-                return False  # irregular stride: every access must abort-check
+                return  # irregular stride: every access must abort-check
             exps.append(a)
             gaps.append(stream.gap())
         core = self.core
@@ -486,7 +470,6 @@ class DynamicSIMDAssembler:
             ):
                 ctx.suppress_active = False
                 self._rebuild_suppression()
-        return iters > 0
 
     def _fold_covered(self, plan, iters: int, k: int) -> None:
         """Bulk-fold what the traced world would have done per record."""
@@ -507,46 +490,37 @@ class DynamicSIMDAssembler:
             for j in range(k):
                 icounts[ops[h + j].kind_name] += 1
 
-    def _run_postlimit_cover(self, ctx: _LoopContext, plan, limit: int) -> bool:
-        """Release an EXECUTE region whose coverage limit has passed.
+    def _run_window_cover(self, plan, limit: int, ctx: _LoopContext | None = None) -> None:
+        """Release a region to the core's fast loop, bounded to its window.
 
-        After ``_iteration_boundary`` deactivates suppression, the traced
-        world runs the remaining iterations with *normal* timing; the only
-        per-record DSA effects are ``records_observed``, the per-boundary
-        ``ctx.iteration`` bump, and one stream sample append per memory op
-        per iteration.  The eligibility gate (``plan.stride_safe`` plus a
-        live stream for every memory pc) proves those appends would
-        continue each stream's exact stride — and ``MemStream.gap()``
-        tolerates iteration holes — so every later read (``gap()`` and
-        ``samples[0]`` at commit/verify time) is unchanged when they are
-        skipped.  The counters are folded here; timing, hierarchy traffic
-        and icounts are charged natively by :func:`run_scalar_region`.
+        Timing, hierarchy traffic and icounts are charged natively by the
+        loop; the DSA folds only its own counters.
+
+        * SCALAR verdict (no ``ctx``): a SCALAR context's only per-record
+          effect inside its range is the observation counter — sampling is
+          state-gated off, windows are not appended, and the boundary bumps
+          an iteration count nothing reads for SCALAR.
+        * EXECUTE past the coverage limit (``ctx`` given): after
+          ``_iteration_boundary`` deactivates suppression, the per-record
+          effects are ``records_observed``, the per-boundary
+          ``ctx.iteration`` bump, and one stream sample append per memory
+          op per iteration.  The eligibility gate (``plan.stride_safe``
+          plus a live stream for every memory pc) proves those appends
+          would continue each stream's exact stride — and
+          ``MemStream.gap()`` tolerates iteration holes — so every later
+          read (``gap()`` and ``samples[0]`` at commit/verify time) is
+          unchanged when they are skipped.
         """
         core = self.core
         seq0 = core.seq
         try:
-            run_scalar_region(core, plan, limit)
+            core._run_decoded_fast(
+                core._decoded, limit, (plan.head_pc, plan.end_pc), "covered"
+            )
         finally:
             self.stats.records_observed += core.seq - seq0
-            ctx.iteration += core._region_boundaries
-        return core.seq > seq0
-
-    def _run_scalar_cover(self, plan, limit: int) -> bool:
-        """Release a SCALAR-verdict region to the record-free fast tier.
-
-        A SCALAR context's only per-record effect inside its range is the
-        observation counter: sampling is state-gated off, windows are not
-        appended, and the boundary bumps an iteration count nothing reads
-        for SCALAR.  Timing/hierarchy run normally — the bounded runner
-        charges them identically to the traced loop.
-        """
-        core = self.core
-        seq0 = core.seq
-        try:
-            run_scalar_region(core, plan, limit)
-        finally:
-            self.stats.records_observed += core.seq - seq0
-        return core.seq > seq0
+            if ctx is not None:
+                ctx.iteration += core._region_boundaries
 
     # ------------------------------------------------------------------
     # record stream
@@ -1337,15 +1311,11 @@ class DynamicSIMDAssembler:
         COVER_REARM later marks the phase change that would force tracing
         back.  Anchored to the state machine, not the run loop, so the
         emission points do not depend on block-compilation timing; configs
-        that cannot cover (predecode or the knob off) emit nothing."""
+        that cannot cover (the knob off) emit nothing."""
         if self.guard or self.injector is not None:
             return
         core = self.core
-        if (
-            core is None
-            or not core.config.covered_execution
-            or not core.config.predecode
-        ):
+        if core is None or not core.config.covered_execution:
             return
         plan = self._cover_plan(ctx.loop_id, ctx.end_pc)
         if plan is None or plan.block is None or ctx.suppress_pcs != plan.pcs:

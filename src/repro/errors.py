@@ -33,16 +33,8 @@ class MemoryError_(ReproError):
     """Out-of-range or misaligned memory access."""
 
 
-class TimingError(ReproError):
-    """The timing model was driven with inconsistent events."""
-
-
 class CompilerError(ReproError):
     """The kernel IR could not be lowered or analyzed."""
-
-
-class VectorizationError(ReproError):
-    """A vectorizer (static or DSA) was asked to produce impossible code."""
 
 
 class ConfigError(ReproError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dtypes import DType, NEON_WIDTH_BYTES
+from .dtypes import DType
 from .instructions import Instruction
 from .operands import QReg, Reg
 
@@ -424,7 +424,3 @@ class VMovFromCore(VInstr):
 
 #: instructions that touch memory, for quick isinstance checks
 V_MEMORY_OPS = (VLoad, VStore, VLoadLane, VStoreLane)
-
-#: bytes moved by a full-width vector memory access *on the NEON backend*;
-#: width-portable code should ask ``backend.width_bytes`` instead
-V_ACCESS_BYTES = NEON_WIDTH_BYTES

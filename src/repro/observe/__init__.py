@@ -10,7 +10,7 @@ Prometheus textfiles).
 Instrumentation is strictly opt-in: every hook defaults to ``None`` and
 costs one pointer comparison when disabled — simulation results and
 fast-path throughput are byte-identical with observers off (gated by the
-predecode identity suite and the bench baseline).
+golden run matrix and the bench baseline).
 
 Entry points::
 

@@ -1,7 +1,7 @@
 """Simulator-throughput benchmark harness (``repro bench``).
 
 Measures how fast the *host* simulates — guest instructions retired per
-host second — which is the quantity the predecode fast path exists to
+host second — which is the quantity the execution tiers exist to
 improve.  This is observability for the simulator itself, deliberately
 separate from the architectural results: nothing here participates in
 result identity or the on-disk cache (every bench run simulates live).
@@ -46,8 +46,6 @@ class BenchRun:
     cycles: int
     host_seconds: float          # best of ``repeats`` (least-noise estimate)
     guest_mips: float
-    legacy_host_seconds: float | None = None   # with predecode=False
-    speedup: float | None = None               # legacy / predecoded
     #: execution-tier residency (instructions retired per tier); names the
     #: ladder rung a cell actually ran on, so a regression can be blamed
     #: on "matmul/neon_dsa fell off the covered tier" instead of guesswork
@@ -70,9 +68,6 @@ class BenchRun:
             "host_seconds": round(self.host_seconds, 6),
             "guest_mips": round(self.guest_mips, 4),
         }
-        if self.legacy_host_seconds is not None:
-            d["legacy_host_seconds"] = round(self.legacy_host_seconds, 6)
-            d["speedup"] = round(self.speedup, 3)
         if self.tier_counts:
             d["tier_counts"] = {k: self.tier_counts[k] for k in sorted(self.tier_counts)}
         return d
@@ -116,24 +111,16 @@ class BenchReport:
 
     def table(self) -> str:
         header = ["workload", "system", "instructions", "host_s", "mips"]
-        compare = any(r.speedup is not None for r in self.runs)
-        if compare:
-            header += ["legacy_s", "speedup"]
-        rows = []
-        for r in self.runs:
-            row = [
+        rows = [
+            [
                 r.workload,
                 r.system,
                 str(r.instructions),
                 f"{r.host_seconds:.3f}",
                 f"{r.guest_mips:.2f}",
             ]
-            if compare:
-                row += [
-                    f"{r.legacy_host_seconds:.3f}" if r.legacy_host_seconds is not None else "-",
-                    f"{r.speedup:.2f}x" if r.speedup is not None else "-",
-                ]
-            rows.append(row)
+            for r in self.runs
+        ]
         widths = [
             max(len(header[i]), max((len(r[i]) for r in rows), default=0))
             for i in range(len(header))
@@ -174,7 +161,6 @@ def run_bench(
     repeats: int = 3,
     workloads: tuple[str, ...] | list[str] = DEFAULT_WORKLOADS,
     systems: tuple[str, ...] | list[str] | None = None,
-    compare_legacy: bool = False,
     quick: bool = False,
     progress=None,
 ) -> BenchReport:
@@ -182,8 +168,7 @@ def run_bench(
 
     Every simulation runs live and inline — no disk cache, no worker
     processes — so the numbers measure the interpreter, not the campaign
-    plumbing.  ``compare_legacy`` additionally times each spec with
-    ``CPUConfig.predecode=False`` and reports the speedup.
+    plumbing.
     """
     from .setups import SYSTEM_NAMES
 
@@ -199,16 +184,14 @@ def run_bench(
         if system not in SYSTEM_NAMES:
             raise ConfigError(f"unknown system {system!r}; pick one of {SYSTEM_NAMES}")
 
-    predecoded = DEFAULT_CPU_CONFIG
-    legacy = CPUConfig(predecode=False)
     report = BenchReport(scale=scale, repeats=repeats)
     for workload in workloads:
         for system in systems:
             spec = RunSpec(workload=workload, system=system, scale=scale)
             if progress is not None:
                 progress(spec.label)
-            host, instructions, cycles, tiers = _time_spec(spec, predecoded, repeats)
-            run = BenchRun(
+            host, instructions, cycles, tiers = _time_spec(spec, DEFAULT_CPU_CONFIG, repeats)
+            report.runs.append(BenchRun(
                 label=spec.label,
                 workload=workload,
                 system=system,
@@ -217,12 +200,7 @@ def run_bench(
                 host_seconds=host,
                 guest_mips=instructions / host / 1e6 if host > 0 else 0.0,
                 tier_counts=tiers,
-            )
-            if compare_legacy:
-                legacy_host, _, _, _ = _time_spec(spec, legacy, repeats)
-                run.legacy_host_seconds = legacy_host
-                run.speedup = legacy_host / host if host > 0 else 0.0
-            report.runs.append(run)
+            ))
     return report
 
 

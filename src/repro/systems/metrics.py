@@ -51,7 +51,7 @@ class RunResult:
     dsa_stats: DSAStats | None = None
     backend: str = "neon"       # vector backend the run executed on
     vl: int = 128               # vector length in bits
-    #: host-side execution-tier residency (legacy/traced/fast/compiled/
+    #: host-side execution-tier residency (traced/fast/compiled/
     #: bulk/covered → instructions retired there).  Pure observability:
     #: two byte-identical runs may retire the same work in different
     #: tiers (e.g. covered_execution on/off), so this never serializes
@@ -155,7 +155,7 @@ class RunMetrics:
     fallback_causes: dict | None = None  # guard-rollback causes, if a DSA ran
     profile: dict | None = None      # RunProfile.to_dict() when observed live
     #: execution-tier residency of a live run (instructions retired per
-    #: tier: legacy/traced/fast/compiled/bulk/covered); None for cache
+    #: tier: traced/fast/compiled/bulk/covered); None for cache
     #: hits, which did no simulation
     tier_counts: dict | None = None
 

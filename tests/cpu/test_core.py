@@ -115,12 +115,6 @@ class TestBasicExecution:
         assert bits_to_float(core.regs[2]) == 3.5
         assert bits_to_float(core.regs[3]) == 7.0
 
-    def test_step_after_halt_raises(self):
-        core = make_core("halt")
-        core.run()
-        with pytest.raises(ExecutionError):
-            core.step()
-
     def test_runaway_program_detected(self):
         core = make_core("spin:\n b spin")
         with pytest.raises(ExecutionError):

@@ -7,13 +7,12 @@ afterwards.  That is a pure host-side optimization: every observable —
 cycles, instruction counts, cache stats, DSA statistics, energy inputs,
 the architected state at a ``max_instructions`` cut — must be identical
 bit for bit with covering disabled, across guard mode, fault plans,
-attached observers and vector backends.  The committed golden snapshot
-pins both settings absolutely so they cannot drift together.
+attached observers and vector backends.  The golden run matrix
+(``tests/golden_runs.json``) pins both settings absolutely so they cannot
+drift together.
 """
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -32,10 +31,10 @@ from repro.systems.setups import DSA_STAGES, run_system
 from repro.workloads import load
 from repro.workloads.synthetic import LOOP_TYPE_MICROKERNELS
 
-COVERED = CPUConfig(predecode=True, covered_execution=True)
-UNCOVERED = CPUConfig(predecode=True, covered_execution=False)
+from ..regen_golden_runs import assert_golden
 
-GOLDEN_PATH = Path(__file__).with_name("golden_microkernels.json")
+COVERED = CPUConfig(covered_execution=True)
+UNCOVERED = CPUConfig(covered_execution=False)
 
 MICRO_KINDS = sorted(LOOP_TYPE_MICROKERNELS)
 
@@ -102,22 +101,12 @@ class TestObserverIdentity:
 
 
 class TestGoldenSnapshot:
-    """Covering disabled must still reproduce the committed digests —
-    the same fixture the covered-by-default config is pinned to in
-    ``test_predecode_identity.py``."""
-
-    @pytest.fixture(scope="class")
-    def golden(self) -> dict:
-        return json.loads(GOLDEN_PATH.read_text())
+    """Covering disabled must still reproduce the golden matrix the
+    covered-by-default config is pinned to."""
 
     @pytest.mark.parametrize("kind", MICRO_KINDS)
-    def test_uncovered_matches_fixture(self, golden, kind):
-        spec = RunSpec(f"micro:{kind}", "neon_dsa", seed=3)
-        digest = hashlib.sha256(canonical(spec, UNCOVERED).encode()).hexdigest()
-        assert digest == golden[f"micro:{kind}"]["digest"], (
-            "covered_execution=False diverged from the committed golden "
-            "snapshot: the uncovered traced path changed behaviour"
-        )
+    def test_uncovered_matches_fixture(self, kind):
+        assert_golden(RunSpec(f"micro:{kind}", "neon_dsa", seed=3), UNCOVERED)
 
 
 class TestMidLoopRearm:

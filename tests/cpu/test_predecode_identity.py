@@ -1,17 +1,13 @@
-"""Golden byte-identity: the predecoded fast path vs the legacy interpreter.
+"""Tier identity: every rung of the execution ladder against the golden matrix.
 
-``CPUConfig.predecode`` selects between two implementations of the same
-architecture; everything observable — cycles, instruction counts, cache
-stats, timing stats, energy inputs, DSA behaviour, the TraceRecord stream,
-error messages — must be identical bit for bit.  The legacy interpreter is
-kept for one release precisely so this suite can keep comparing against
-it; the committed golden snapshot additionally pins the predecoded results
-so both paths cannot silently drift together.
+The predecoded interpreter, the compiled hot-loop tier and its numpy bulk
+lowering are host-side choices only; everything observable — cycles,
+instruction counts, cache stats, timing stats, energy inputs, DSA
+behaviour, the TraceRecord stream, error messages — must be identical bit
+for bit.  ``tests/golden_runs.json`` pins the results absolutely (see
+``tests/regen_golden_runs.py``); the ``max_instructions`` cuts, which no
+golden covers, compare the compiled tiers against the interpreter tier.
 """
-
-import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
@@ -20,138 +16,68 @@ from repro.cpu.config import CPUConfig
 from repro.errors import ExecutionError
 from repro.isa import assemble
 from repro.memory import MainMemory
-from repro.systems.campaign import RunSpec, execute_spec
-from repro.systems.runner import execute_kernel
-from repro.systems.setups import SYSTEM_NAMES, lower_for
-from repro.workloads import load
+from repro.systems.campaign import RunSpec
+from repro.systems.setups import SYSTEM_NAMES
 from repro.workloads.synthetic import LOOP_TYPE_MICROKERNELS
 
-PREDECODED = CPUConfig(predecode=True)
-LEGACY = CPUConfig(predecode=False)
+from ..regen_golden_runs import TRACE_RUN, assert_golden, load_golden, trace_stream_digest
 
-#: one config per execution tier above the legacy interpreter; every tier
-#: must produce bit-identical RunResults (hot_threshold=2 forces the
-#: compiled tiers to engage even on short test-scale workloads)
+#: one config per execution tier; every tier must produce bit-identical
+#: RunResults
 TIER_CONFIGS = {
-    "interp": CPUConfig(predecode=True, compile_hot=False),
-    "compiled": CPUConfig(
-        predecode=True, compile_hot=True, hot_threshold=2, compile_numpy=False
-    ),
-    "bulk": CPUConfig(
-        predecode=True, compile_hot=True, hot_threshold=2, compile_numpy=True
-    ),
+    "interp": CPUConfig(compile_hot=False),
+    "compiled": CPUConfig(compile_hot=True, compile_numpy=False),
+    "bulk": CPUConfig(compile_hot=True, compile_numpy=True),
 }
 
-GOLDEN_PATH = Path(__file__).with_name("golden_microkernels.json")
-
 MICRO_KINDS = sorted(LOOP_TYPE_MICROKERNELS)
-
-
-def result_dict(spec: RunSpec, config: CPUConfig, guard: bool = False) -> dict:
-    return execute_spec(spec, cpu_config=config, guard=guard).to_dict()
-
-
-def canonical(d: dict) -> str:
-    return json.dumps(d, sort_keys=True)
 
 
 class TestRunResultIdentity:
     @pytest.mark.parametrize("guard", [False, True], ids=["clean", "guard"])
     @pytest.mark.parametrize("kind", MICRO_KINDS)
     def test_microkernel_dsa(self, kind, guard):
-        spec = RunSpec(f"micro:{kind}", "neon_dsa", seed=3)
-        a = result_dict(spec, PREDECODED, guard=guard)
-        b = result_dict(spec, LEGACY, guard=guard)
-        assert canonical(a) == canonical(b)
+        """Guarded execution with nothing to catch changes no result."""
+        assert_golden(RunSpec(f"micro:{kind}", "neon_dsa", seed=3), guard=guard)
 
     @pytest.mark.parametrize("system", SYSTEM_NAMES)
     def test_paper_workload_all_systems(self, system):
-        spec = RunSpec("rgb_gray", system)
-        a = result_dict(spec, PREDECODED)
-        b = result_dict(spec, LEGACY)
-        assert canonical(a) == canonical(b)
+        assert_golden(RunSpec("rgb_gray", system, seed=3), TIER_CONFIGS["interp"])
 
 
 class TestCompiledTierIdentity:
-    """Each tier of the execution ladder must agree with the legacy
-    interpreter bit for bit — including the trace-compiled hot-loop tier
-    and its numpy bulk lowering."""
-
-    _legacy_memo: dict = {}
-
-    @classmethod
-    def _legacy(cls, spec: RunSpec) -> str:
-        key = (spec.workload, spec.system, spec.seed)
-        got = cls._legacy_memo.get(key)
-        if got is None:
-            got = cls._legacy_memo[key] = canonical(result_dict(spec, LEGACY))
-        return got
+    """Each tier of the execution ladder must reproduce the golden matrix,
+    including the compiled hot-loop tier and its numpy bulk lowering."""
 
     @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
     @pytest.mark.parametrize("kind", MICRO_KINDS)
     def test_microkernel_dsa(self, kind, tier):
-        spec = RunSpec(f"micro:{kind}", "neon_dsa", seed=3)
-        assert canonical(result_dict(spec, TIER_CONFIGS[tier])) == self._legacy(spec)
+        assert_golden(RunSpec(f"micro:{kind}", "neon_dsa", seed=3), TIER_CONFIGS[tier])
 
     @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
     @pytest.mark.parametrize("workload", ["rgb_gray", "matmul"])
     def test_paper_workloads(self, workload, tier):
         for system in ("arm_original", "neon_dsa"):
-            spec = RunSpec(workload, system)
-            assert (
-                canonical(result_dict(spec, TIER_CONFIGS[tier])) == self._legacy(spec)
-            ), f"{workload}/{system} diverged on tier {tier!r}"
+            assert_golden(RunSpec(workload, system, seed=3), TIER_CONFIGS[tier])
 
 
 class TestGoldenSnapshot:
-    """The committed fixture pins the predecoded results absolutely."""
-
-    @pytest.fixture(scope="class")
-    def golden(self) -> dict:
-        return json.loads(GOLDEN_PATH.read_text())
-
     @pytest.mark.parametrize("kind", MICRO_KINDS)
-    def test_microkernel_matches_fixture(self, golden, kind):
-        spec = RunSpec(f"micro:{kind}", "neon_dsa", seed=3)
-        d = result_dict(spec, PREDECODED)
-        entry = golden[f"micro:{kind}"]
-        assert d["cycles"] == entry["cycles"]
-        assert d["instructions"] == entry["instructions"]
-        digest = hashlib.sha256(canonical(d).encode()).hexdigest()
-        assert digest == entry["digest"], (
-            "predecoded RunResult drifted from the committed golden snapshot; "
-            "if the architectural model intentionally changed, regenerate "
-            "tests/cpu/golden_microkernels.json (see its '_note' field)"
-        )
+    def test_microkernel_matches_fixture(self, kind):
+        assert_golden(RunSpec(f"micro:{kind}", "neon_dsa", seed=3))
 
 
 class TestTraceStreamIdentity:
-    """Retire hooks must observe the exact same TraceRecord stream."""
-
-    @staticmethod
-    def _records(lowered, workload, config: CPUConfig) -> list:
-        records = []
-        execute_kernel(
-            lowered,
-            workload.fresh_args(),
-            config=config,
-            attach=lambda core: core.retire_hooks.append(records.append),
-        )
-        return records
+    """Retire hooks must observe the exact pinned TraceRecord stream."""
 
     def test_streams_equal(self):
-        workload = load("rgb_gray", "test")
-        lowered = lower_for("arm_original", workload)
-        fast = self._records(lowered, workload, PREDECODED)
-        legacy = self._records(lowered, workload, LEGACY)
-        assert len(fast) == len(legacy)
-        for a, b in zip(fast, legacy):
-            assert (a.seq, a.pc, a.next_pc, a.branch_taken) == (
-                b.seq, b.pc, b.next_pc, b.branch_taken)
-            assert a.accesses == b.accesses
-            assert a.reg_reads == b.reg_reads
-            assert a.reg_writes == b.reg_writes
-            assert a.instr is b.instr  # the very same Program object
+        want = load_golden()["trace_streams"]["/".join(TRACE_RUN)]
+        records, digest = trace_stream_digest()
+        assert (records, digest) == (want["records"], want["digest"])
+
+
+BASE = 0x1000
+FRESH_MEMORY = MainMemory(1 << 16).snapshot()
 
 
 def _run_one(source: str, config: CPUConfig, max_instructions: int):
@@ -167,29 +93,45 @@ def _run_one(source: str, config: CPUConfig, max_instructions: int):
                 core.memory.snapshot())
 
 
-def _run_both(source: str, max_instructions: int = 100_000_000):
-    return [_run_one(source, config, max_instructions)
-            for config in (PREDECODED, LEGACY)]
+def _run_tiers(source: str, max_instructions: int = 100_000_000):
+    """Run every tier; all must agree.  Returns the common outcome."""
+    outcomes = [_run_one(source, config, max_instructions)
+                for config in TIER_CONFIGS.values()]
+    assert all(o == outcomes[0] for o in outcomes[1:])
+    return outcomes[0]
+
+
+def _regs(**values) -> tuple:
+    regs = [0] * 16
+    for name, value in values.items():
+        regs[int(name[1:])] = value
+    return tuple(regs)
 
 
 class TestErrorPathIdentity:
-    """Failure modes must match the legacy interpreter exactly, including
-    the error message and the architected state left behind."""
+    """Failure modes leave the exact error message and architected state:
+    the faulting fetch is not retired."""
 
     def test_fall_off_end_of_text(self):
-        fast, legacy = _run_both("mov r0, #1\nadd r0, r0, #2\n")
-        assert fast == legacy
-        assert fast[0] == "error" and "not inside the text segment" in fast[1]
+        got = _run_tiers("mov r0, #1\nadd r0, r0, #2\n")
+        assert got == (
+            "error", "address 0x1008 is not inside the text segment", 2,
+            BASE + 8, _regs(r0=3), {"Mov": 1, "Alu": 1}, FRESH_MEMORY,
+        )
 
     def test_branch_outside_text(self):
-        fast, legacy = _run_both("mov r0, #0\nbx r0\nhalt")
-        assert fast == legacy
-        assert "0x0 is not inside the text segment" in fast[1]
+        got = _run_tiers("mov r0, #0\nbx r0\nhalt")
+        assert got == (
+            "error", "address 0x0 is not inside the text segment", 2,
+            0, _regs(), {"Mov": 1, "BranchReg": 1}, FRESH_MEMORY,
+        )
 
     def test_misaligned_branch_target(self):
-        fast, legacy = _run_both("mov r0, #4098\nbx r0\nhalt")
-        assert fast == legacy
-        assert "0x1002 is not inside the text segment" in fast[1]
+        got = _run_tiers("mov r0, #4098\nbx r0\nhalt")
+        assert got == (
+            "error", "address 0x1002 is not inside the text segment", 2,
+            0x1002, _regs(r0=4098), {"Mov": 1, "BranchReg": 1}, FRESH_MEMORY,
+        )
 
     def test_did_not_halt_within_limit(self):
         source = """
@@ -197,9 +139,11 @@ class TestErrorPathIdentity:
                 add r0, r0, #1
                 b loop
         """
-        fast, legacy = _run_both(source, max_instructions=10)
-        assert fast == legacy
-        assert fast[0] == "error" and "did not halt within 10" in fast[1]
+        got = _run_tiers(source, max_instructions=10)
+        assert got == (
+            "error", "program did not halt within 10 instructions", 10,
+            BASE, _regs(r0=5), {"Alu": 5, "Branch": 5}, FRESH_MEMORY,
+        )
 
     def test_architected_state_after_success(self):
         source = """
@@ -211,9 +155,11 @@ class TestErrorPathIdentity:
                 bne loop
                 halt
         """
-        fast, legacy = _run_both(source)
-        assert fast == legacy
-        assert fast[0] == "ok"
+        got = _run_tiers(source)
+        assert got == (
+            "ok", 30, 33, _regs(r0=30), BASE + 20,
+            {"Mov": 2, "Alu": 20, "Branch": 10, "Halt": 1}, FRESH_MEMORY,
+        )
 
 
 class TestMaxInstructionBoundaries:
@@ -222,7 +168,8 @@ class TestMaxInstructionBoundaries:
     The compiled tiers retire whole loop bodies (and, with numpy lowering,
     whole batches of iterations) per host dispatch, so the limit can land
     at a block entry, mid-body, or mid-batch; the architected state and the
-    error message must still match a legacy core stopped at the same seq.
+    error message must still match the interpreter tier stopped at the
+    same seq.
     """
 
     # 5-op counted store loop: 2 setup ops, 200 iterations, halt => 1003
@@ -243,31 +190,38 @@ class TestMaxInstructionBoundaries:
     LIMITS = [7, 10, 11, 12, 13, 14, 251, 252, 497,
               TOTAL - 3, TOTAL - 1, TOTAL, TOTAL + 1]
 
+    #: the tier counter each config must actually exercise on this loop
+    ENGAGED = {"interp": "fast", "compiled": "compiled", "bulk": "bulk"}
+
     @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
     def test_boundary_parity(self, tier):
         config = TIER_CONFIGS[tier]
         for limit in self.LIMITS:
-            want = _run_one(self.SOURCE, LEGACY, limit)
+            want = _run_one(self.SOURCE, TIER_CONFIGS["interp"], limit)
             got = _run_one(self.SOURCE, config, limit)
             assert got == want, f"tier {tier!r} diverged at limit {limit}"
-        full = _run_one(self.SOURCE, config, self.TOTAL)
-        assert full[0] == "ok"
-        short = _run_one(self.SOURCE, config, self.TOTAL - 1)
-        assert short[0] == "error" and "did not halt" in short[1]
+            if limit < self.TOTAL:
+                assert got[:3] == (
+                    "error", f"program did not halt within {limit} instructions", limit)
+        core = Core(assemble(self.SOURCE), MainMemory(1 << 16), config=config)
+        full = core.run(max_instructions=self.TOTAL)
+        assert full.instructions == self.TOTAL
+        assert full.tier_counts.get(self.ENGAGED[tier], 0) > 0, full.tier_counts
 
     @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
     def test_every_offset_within_one_iteration(self, tier):
         """Sweep a full loop body's worth of consecutive limits."""
         config = TIER_CONFIGS[tier]
         for limit in range(500, 506):
-            want = _run_one(self.SOURCE, LEGACY, limit)
+            want = _run_one(self.SOURCE, TIER_CONFIGS["interp"], limit)
             got = _run_one(self.SOURCE, config, limit)
             assert got == want, f"tier {tier!r} diverged at limit {limit}"
+            assert got[2] == limit
 
-    @pytest.mark.parametrize("tier", [*sorted(TIER_CONFIGS), "legacy"])
+    @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
     def test_already_halted_core_rerun(self, tier):
         """Re-running a halted core must be a no-op on every tier."""
-        config = LEGACY if tier == "legacy" else TIER_CONFIGS[tier]
+        config = TIER_CONFIGS[tier]
         core = Core(assemble(self.SOURCE), MainMemory(1 << 16), config=config)
         first = core.run(max_instructions=self.TOTAL)
         state = (core.seq, core.pc, tuple(core.regs), dict(core.icounts))

@@ -105,7 +105,7 @@ class TestZeroOverheadDefaults:
         workload = build_workload(SCALAR_SPEC)
         core = Core(lower(workload.kernel).program, MainMemory(1 << 20))
         assert core.observer is None
-        assert core.neon.observer is None
+        assert core.vector.observer is None
 
 
 class TestGuardFallback:

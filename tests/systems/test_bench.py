@@ -49,16 +49,6 @@ class TestRunBench:
         }
         json.dumps(payload)  # must be serializable as-is
 
-    def test_compare_legacy_reports_speedup(self):
-        report = run_bench(
-            workloads=["rgb_gray"], systems=["arm_original"],
-            repeats=1, compare_legacy=True,
-        )
-        run = report.runs[0]
-        assert run.legacy_host_seconds is not None
-        assert run.speedup is not None and run.speedup > 0
-        assert "speedup" in report.table()
-
     def test_table_renders(self):
         text = tiny_report().table()
         assert "rgb_gray" in text and "aggregate:" in text

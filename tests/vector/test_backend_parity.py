@@ -2,15 +2,13 @@
 
 The scalable engine at VL=128 is architecturally the same machine as the
 NEON engine, so every microkernel must produce a byte-identical RunResult
-on it — including the committed golden snapshot.  At wider VLs the DSA's
+on it — including the golden run matrix.  At wider VLs the DSA's
 bursts are timing-only (the scalar core computes all architected results),
 so only the timing and energy channels may move; the architected memory
 image, register file, instruction counts and golden outputs must not.
 """
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -19,9 +17,10 @@ from repro.systems.campaign import CampaignRunner, RunSpec, build_workload, exec
 from repro.systems.setups import run_system
 from repro.workloads.synthetic import LOOP_TYPE_MICROKERNELS
 
+from ..regen_golden_runs import assert_golden
+
 MICRO_KINDS = sorted(LOOP_TYPE_MICROKERNELS)
 STATIC_SYSTEMS = ("arm_original", "neon_autovec", "neon_handvec")
-GOLDEN_PATH = Path(__file__).parent.parent / "cpu" / "golden_microkernels.json"
 
 #: RunResult channels that legitimately move with the vector width
 #: (wider bursts change cycle counts, cache traffic, DSA counters and the
@@ -69,13 +68,8 @@ class TestScalable128Identity:
     @pytest.mark.parametrize("kind", MICRO_KINDS)
     def test_matches_neon_golden_snapshot(self, kind):
         """The committed NEON golden pins scalable@128 too."""
-        golden = json.loads(GOLDEN_PATH.read_text())[f"micro:{kind}"]
-        d = result_dict(kind, backend="scalable", vl=128)
-        digest = hashlib.sha256(canonical(stripped(d)).encode()).hexdigest()
-        assert digest == golden["digest"], (
-            "scalable@128 drifted from the NEON golden snapshot; the two "
-            "backends must stay architecturally identical at VL=128"
-        )
+        assert_golden(RunSpec(f"micro:{kind}", "neon_dsa", seed=3,
+                              backend="scalable", vl=128))
 
     @pytest.mark.parametrize("system", STATIC_SYSTEMS)
     @pytest.mark.parametrize("kind", MICRO_KINDS)

@@ -7,19 +7,17 @@ Four fronts, matching the paper kernels' own guarantees:
 * the taxonomy edge — the sentinel scan in ``delim_scan`` is vectorized
   by the run-time DSA but untouchable for the static NEON compiler, the
   verdict the whole reproduction exists to show;
-* identity — byte-identical RunResults across every execution tier
-  (legacy/interp/compiled/bulk/covered), both vector backends at VL=128
-  (pinned by the committed golden snapshot), guard mode under an injected
-  fault plan, and timing-only deltas at wider VLs;
+* identity — every execution tier (interp/compiled/bulk/covered) and
+  both vector backends at VL=128 reproduce the golden run matrix
+  (``tests/golden_runs.json``), guard mode under an injected fault plan
+  is identical with covering on and off, and wider VLs move timing only;
 * the coverage gate — every paper loop class is exercised by >= 2
   registered workloads, the verdict fails demonstrably when a streaming
   workload is removed, and a declared class the kernel does not contain
   is rejected.
 """
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -40,23 +38,21 @@ from repro.workloads.coverage import (
 )
 from repro.workloads.streaming import STREAMING_WORKLOADS
 
-STREAMING = sorted(STREAMING_WORKLOADS)
-GOLDEN_PATH = Path(__file__).with_name("golden_streaming.json")
+from ..regen_golden_runs import assert_golden
 
-#: one config per rung of the execution-tier ladder; all five must
-#: produce byte-identical RunResults (the ladder is host-side only)
+STREAMING = sorted(STREAMING_WORKLOADS)
+
+#: one config per rung of the execution-tier ladder; all four must
+#: reproduce the golden matrix (the ladder is host-side only)
 TIER_CONFIGS = {
-    "legacy": CPUConfig(predecode=False),
-    "interp": CPUConfig(
-        predecode=True, compile_hot=False, compile_traced=False, covered_execution=False
-    ),
-    "compiled": CPUConfig(predecode=True, compile_numpy=False, covered_execution=False),
-    "bulk": CPUConfig(predecode=True, covered_execution=False),
+    "interp": CPUConfig(compile_hot=False, covered_execution=False),
+    "compiled": CPUConfig(compile_numpy=False, covered_execution=False),
+    "bulk": CPUConfig(covered_execution=False),
     "covered": CPUConfig(),
 }
 
-COVERED = CPUConfig(predecode=True, covered_execution=True)
-UNCOVERED = CPUConfig(predecode=True, covered_execution=False)
+COVERED = CPUConfig(covered_execution=True)
+UNCOVERED = CPUConfig(covered_execution=False)
 
 #: RunResult channels that legitimately move with the vector width
 TIMING_KEYS = frozenset(
@@ -156,21 +152,13 @@ class TestStreamingVectorizationProfile:
 class TestTierIdentity:
     @pytest.mark.parametrize("name", STREAMING)
     def test_all_tiers_byte_identical(self, name):
-        spec = RunSpec(name, "neon_dsa", seed=3)
-        records = {
-            tier: canonical(execute_spec(spec, cpu_config=config).to_dict())
-            for tier, config in TIER_CONFIGS.items()
-        }
-        baseline = records.pop("legacy")
-        for tier, record in records.items():
-            assert record == baseline, f"tier {tier} diverged from legacy"
+        for config in TIER_CONFIGS.values():
+            assert_golden(RunSpec(name, "neon_dsa", seed=3), config)
 
     @pytest.mark.parametrize("name", STREAMING)
     def test_scalar_system_tiers_identical(self, name):
-        spec = RunSpec(name, "arm_original", seed=3)
-        legacy = canonical(execute_spec(spec, cpu_config=TIER_CONFIGS["legacy"]).to_dict())
-        covered = canonical(execute_spec(spec, cpu_config=TIER_CONFIGS["covered"]).to_dict())
-        assert covered == legacy
+        for tier in ("interp", "covered"):
+            assert_golden(RunSpec(name, "arm_original", seed=3), TIER_CONFIGS[tier])
 
 
 class TestGuardedFaultIdentity:
@@ -207,29 +195,16 @@ class TestBackendParity:
 
 
 class TestGoldenSnapshot:
-    """The committed sha256 snapshot pins the streaming results absolutely
-    (style of tests/cpu/golden_microkernels.json); both backends at VL=128
-    must hit the same digest."""
+    """The golden run matrix pins the streaming results absolutely; both
+    backends at VL=128 must hit the same digest."""
 
     @pytest.mark.parametrize("name", STREAMING)
     def test_neon_matches_snapshot(self, name):
-        golden = json.loads(GOLDEN_PATH.read_text())[name]
-        d = result_dict(name)
-        assert d["cycles"] == golden["cycles"]
-        assert d["instructions"] == golden["instructions"]
-        digest = hashlib.sha256(canonical(d).encode()).hexdigest()
-        assert digest == golden["digest"], (
-            f"{name} RunResult drifted from the committed golden snapshot; "
-            "regenerate ONLY on an intentional architectural-model change: "
-            "PYTHONPATH=src python tests/workloads/regen_golden_streaming.py"
-        )
+        assert_golden(RunSpec(name, "neon_dsa", seed=3))
 
     @pytest.mark.parametrize("name", STREAMING)
     def test_scalable_128_matches_snapshot(self, name):
-        golden = json.loads(GOLDEN_PATH.read_text())[name]
-        d = result_dict(name, backend="scalable", vl=128)
-        digest = hashlib.sha256(canonical(stripped(d)).encode()).hexdigest()
-        assert digest == golden["digest"]
+        assert_golden(RunSpec(name, "neon_dsa", seed=3, backend="scalable", vl=128))
 
 
 # ---------------------------------------------------------------------------
