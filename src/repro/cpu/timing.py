@@ -136,46 +136,6 @@ class TimingModel:
         self._now = cycle
         return cycle
 
-    def charge_scalar(
-        self,
-        instr: Instruction,
-        mem_latency: int = 0,
-        mispredicted: bool = False,
-        reads_flags: bool = False,
-        sets_flags: bool = False,
-    ) -> None:
-        """Account one retired scalar instruction."""
-        self.stats.scalar_instructions += 1
-        earliest = max(
-            (self._reg_ready[r.index] for r in instr.regs_read()),
-            default=0,
-        )
-        if reads_flags:
-            earliest = max(earliest, self._flags_ready)
-        issue = self._issue_slot(earliest)
-        completion = issue + self.scalar_latency(instr) + mem_latency
-        if mem_latency:
-            self.stats.memory_stall_cycles += mem_latency
-        writeback_base = (
-            instr.addr.base if isinstance(instr, Mem) and instr.addr.writes_back else None
-        )
-        for r in instr.regs_written():
-            # address-generation writeback (post/pre-index) resolves early,
-            # so pointer-bump loops do not serialize on cache misses
-            if r == writeback_base:
-                self._reg_ready[r.index] = issue + 1
-            else:
-                self._reg_ready[r.index] = completion
-        if sets_flags:
-            self._flags_ready = completion
-        self._last_completion = max(self._last_completion, completion)
-        if mispredicted:
-            self.stats.branch_mispredicts += 1
-            bubble = issue + 1 + self.config.mispredict_penalty
-            self._now = max(self._now, bubble)
-            self._slot_cycle = -1
-            self._slots_used = 0
-
     def charge_scalar_decoded(
         self,
         op,
@@ -184,10 +144,9 @@ class TimingModel:
     ) -> None:
         """Account one retired scalar instruction from its predecoded form.
 
-        Cycle-for-cycle identical to :meth:`charge_scalar`; the difference is
-        purely that the register sets, latency and flag behaviour arrive
-        precomputed on the :class:`~repro.cpu.predecode.DecodedOp` instead of
-        being re-derived from the instruction object on every retirement.
+        The register sets, latency and flag behaviour arrive precomputed on
+        the :class:`~repro.cpu.predecode.DecodedOp`, so nothing is re-derived
+        from the instruction object on every retirement.
         """
         self.stats.scalar_instructions += 1
         ready = self._reg_ready

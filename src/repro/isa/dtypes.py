@@ -16,7 +16,7 @@ f32          32    4
 
 The 128-bit width is a property of the NEON *backend*, not the ISA:
 the scalable backend widens its registers to VL/8 bytes and derives
-its lane counts from :meth:`repro.vector.VectorBackend.lanes_for`.
+its lane counts from :meth:`repro.vector.VectorEngine.lanes_for`.
 ``DType.lanes`` and the module constants below keep describing the
 fixed 128-bit NEON geometry for the static binaries.
 """

@@ -1,11 +1,12 @@
 """Functional lane math for vector register images of any width.
 
-A register image is a numpy ``uint8`` array — 16 bytes for NEON Q
-registers, wider for scalable-vector registers; operations reinterpret
-it as lanes of the requested :class:`DType`, with silent wraparound on
-integer overflow — exactly what the hardware does.  Every operation here
-is width-agnostic: the lane count falls out of ``image.nbytes``, so the
-same kernels serve both the NEON and the scalable backend.
+A register image is a numpy ``uint8`` array of the vector engine's
+register width — 16 bytes at NEON's VL=128, wider at larger VLs;
+operations reinterpret it as lanes of the requested :class:`DType`, with
+silent wraparound on integer overflow — exactly what the hardware does.
+Every operation here is width-agnostic: the lane count falls out of
+``image.nbytes``, so these kernels serve the one
+:class:`repro.vector.engine.VectorEngine` at every VL.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def view(image: np.ndarray, dtype: DType) -> np.ndarray:
 def from_lanes(values, dtype: DType, lanes: int | None = None) -> np.ndarray:
     """Build a register image from per-lane values (wrapped to the type).
 
-    ``lanes`` defaults to the 128-bit NEON lane count; scalable-vector
-    callers pass ``backend.lanes_for(dtype)``.
+    ``lanes`` defaults to the 128-bit NEON lane count; callers at another
+    width pass ``engine.lanes_for(dtype)``.
     """
     expected = dtype.lanes if lanes is None else lanes
     arr = np.asarray(values)

@@ -1,27 +1,20 @@
-"""Backend-neutral vector execution (ROADMAP item 3).
+"""Vector execution at any vector length.
 
-The stable public surface of the vector layer:
+One engine, :class:`VectorEngine`, models sixteen vector registers of a
+configurable width; the NEON backend is that engine at VL=128 and the
+scalable backend is the same engine at VL 128–1024.
 
+>>> from repro.isa.dtypes import DType
 >>> from repro.vector import get_backend
 >>> be = get_backend("scalable", 256)
->>> be.width_bytes, be.lanes_for(DType.S32)
+>>> be.width_bytes, be.lanes_for(DType.I32)
 (32, 8)
-
-Everything above the engines (core dispatch, DSA template lowering, the
-energy model) goes through :class:`VectorBackend`; constructing
-:class:`repro.neon.NeonEngine` directly is deprecated in favour of
-``get_backend("neon")`` so call sites stay backend-agnostic.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .backend import (
-    VALID_VECTOR_LENGTHS,
-    VectorBackend,
-    VectorStats,
-    VMemEvent,
-)
+from .engine import VALID_VECTOR_LENGTHS, VectorEngine, VectorStats, VMemEvent
 from .scalable import ScalableEngine
 
 #: names accepted by :func:`get_backend`, CPUConfig.vector_backend,
@@ -29,12 +22,12 @@ from .scalable import ScalableEngine
 BACKEND_NAMES = ("neon", "scalable")
 
 
-def get_backend(name: str, vl: int = 128) -> VectorBackend:
+def get_backend(name: str, vl: int = 128) -> VectorEngine:
     """Construct a vector backend by name at vector length ``vl`` (bits).
 
-    The single supported way to build an engine: ``get_backend("neon")``
-    for the paper's fixed 128-bit NEON unit (``vl`` must be 128), or
-    ``get_backend("scalable", vl)`` for the VLA engine at
+    The one constructor that checks names and VLs from the CLI:
+    ``get_backend("neon")`` for the paper's fixed 128-bit NEON unit
+    (``vl`` must be 128), or ``get_backend("scalable", vl)`` for
     ``vl`` ∈ {128, 256, 512, 1024}.
     """
     if name == "neon":
@@ -43,7 +36,8 @@ def get_backend(name: str, vl: int = 128) -> VectorBackend:
                 f"the neon backend is fixed at VL=128, got VL={vl}; "
                 f"use the scalable backend for wider vectors"
             )
-        from ..neon.engine import NeonEngine  # deferred: repro.neon is heavier
+        # deferred: repro.neon.engine imports this package's engine module
+        from ..neon.engine import NeonEngine
 
         return NeonEngine()
     if name == "scalable":
@@ -56,7 +50,7 @@ def get_backend(name: str, vl: int = 128) -> VectorBackend:
 __all__ = [
     "BACKEND_NAMES",
     "VALID_VECTOR_LENGTHS",
-    "VectorBackend",
+    "VectorEngine",
     "VectorStats",
     "VMemEvent",
     "ScalableEngine",

@@ -1,64 +1,22 @@
-"""A vector-length-agnostic (SVE/RVV-style) engine.
+"""The scalable (SVE/RVV-style) backend: the vector engine at a chosen VL.
 
-Unlike NEON's fixed 128-bit Q registers, the scalable engine is built for
-one configurable vector length VL ∈ {128, 256, 512, 1024} bits.  The same
-vector program runs at any width: full-width loads and stores move
-``width_bytes`` per instruction and post-increment the base register by
-``width_bytes``, so a loop template built against this backend covers
-``lanes_for(dtype)`` iterations per burst instead of NEON's 128-bit lane
-count.
-
-Predication follows the SVE ``whilelt`` idiom: a *prefix* predicate marks
-the first N lanes active.  Memory instructions honour it — a predicated
-load zeroes the inactive tail (the ``/z`` zeroing form) and touches only
-the active bytes; a predicated store writes only the active bytes.
-Register-to-register arithmetic is unpredicated (all lanes compute);
-with zeroed inactive inputs and masked stores that is architecturally
-sufficient for tail handling, which is the only thing the DSA needs a
-predicate for.
-
-At VL=128 with the predicate fully active, every operation here is
-byte-identical to :class:`repro.neon.NeonEngine` — the differential
-parity suite (`tests/vector/test_backend_parity.py`) holds the two
-engines to that.
+The same vector program runs at any VL ∈ {128, 256, 512, 1024} bits; at
+VL=128 every operation is byte-identical to NEON, because both are one
+:class:`~repro.vector.engine.VectorEngine`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import ConfigError, ExecutionError
-from ..isa.dtypes import DType, bits_to_float, float_to_bits, to_u32
-from ..isa.neon import (
-    VBinOp,
-    VBsl,
-    VCmp,
-    VDup,
-    VDupImm,
-    VInstr,
-    VLoad,
-    VLoadLane,
-    VMla,
-    VMovFromCore,
-    VMovQ,
-    VMovToCore,
-    VShiftImm,
-    VShiftKind,
-    VStore,
-    VStoreLane,
-    VUnary,
-)
-from ..memory.backing import MainMemory
-from ..neon import lanes
-from ..observe.events import EventKind
-from .backend import VALID_VECTOR_LENGTHS, VectorStats, VMemEvent
+from ..errors import ConfigError
+from .engine import VALID_VECTOR_LENGTHS, VectorEngine
 
 
-class ScalableEngine:
-    """Functional model of a scalable vector unit at one configured VL."""
+class ScalableEngine(VectorEngine):
+    """The vector engine at one configured VL; build it via ``get_backend``."""
 
-    name = "scalable"
-    num_regs = 16  # the QReg operand encoding spans q0..q15 on any backend
+    # Bound here rather than inherited, for the same reason as NeonEngine's:
+    # perfbench/layers.py traces each engine class's own ``execute``.
+    execute = VectorEngine.execute
 
     def __init__(self, vl_bits: int = 128) -> None:
         if vl_bits not in VALID_VECTOR_LENGTHS:
@@ -66,225 +24,4 @@ class ScalableEngine:
                 f"scalable backend vector length must be one of "
                 f"{VALID_VECTOR_LENGTHS}, got {vl_bits}"
             )
-        self.vl_bits = vl_bits
-        self.width_bytes = vl_bits // 8
-        self.q = [lanes.zero_register(self.width_bytes) for _ in range(self.num_regs)]
-        self.stats = VectorStats()
-        #: active-prefix predicate: memory ops touch the first pred_bytes
-        #: bytes of each transfer; width_bytes means "all lanes active"
-        self.pred_bytes = self.width_bytes
-        #: fault-injection hook: called as hook(instr, q) after each
-        #: executed instruction (same contract as the NEON engine)
-        self.fault_hook = None
-        #: optional repro.observe.Observer; dispatch events reuse the
-        #: NEON_DISPATCH kind so exporters need no second schema
-        self.observer = None
-
-    # ------------------------------------------------------------------
-    def lanes_for(self, dtype: DType) -> int:
-        return self.width_bytes // dtype.size
-
-    def set_predicate(self, active_lanes: int, dtype: DType) -> None:
-        """Activate the first ``active_lanes`` lanes of ``dtype`` (whilelt)."""
-        nbytes = active_lanes * dtype.size
-        if not 0 <= nbytes <= self.width_bytes:
-            raise ExecutionError(
-                f"predicate of {active_lanes} {dtype} lanes does not fit in "
-                f"{self.width_bytes} bytes"
-            )
-        self.pred_bytes = nbytes
-
-    def clear_predicate(self) -> None:
-        """Back to all-lanes-active."""
-        self.pred_bytes = self.width_bytes
-
-    def read_reg(self, index: int) -> np.ndarray:
-        return self.q[index].copy()
-
-    def write_reg(self, index: int, image: np.ndarray) -> None:
-        if image.nbytes != self.width_bytes:
-            raise ExecutionError(
-                f"register image must be {self.width_bytes} bytes at "
-                f"VL={self.vl_bits}"
-            )
-        self.q[index] = image.astype(np.uint8, copy=True)
-
-    # NEON-spelled aliases so engine-generic test helpers can poke either
-    read_q = read_reg
-    write_q = write_reg
-
-    def reset(self) -> None:
-        self.q = [lanes.zero_register(self.width_bytes) for _ in range(self.num_regs)]
-        self.stats.reset()
-        self.pred_bytes = self.width_bytes
-
-    # ------------------------------------------------------------------
-    # handlers (dict-dispatched; each returns its memory event or None)
-    # ------------------------------------------------------------------
-    def _exec_vload(self, instr: VLoad, regs, memory) -> VMemEvent:
-        addr = regs[instr.base.index]
-        n = self.pred_bytes
-        if n == self.width_bytes:
-            self.q[instr.qd.index] = memory.view(addr, n).copy()
-        else:
-            img = lanes.zero_register(self.width_bytes)
-            img[:n] = memory.view(addr, n)
-            self.q[instr.qd.index] = img
-        if instr.writeback:
-            regs[instr.base.index] = to_u32(addr + self.width_bytes)
-        self.stats.mem_ops += 1
-        self.stats.bytes_loaded += n
-        return VMemEvent(addr, n, False)
-
-    def _exec_vstore(self, instr: VStore, regs, memory) -> VMemEvent:
-        addr = regs[instr.base.index]
-        n = self.pred_bytes
-        memory.write(addr, self.q[instr.qs.index][:n].tobytes())
-        if instr.writeback:
-            regs[instr.base.index] = to_u32(addr + self.width_bytes)
-        self.stats.mem_ops += 1
-        self.stats.bytes_stored += n
-        return VMemEvent(addr, n, True)
-
-    def _exec_vload_lane(self, instr: VLoadLane, regs, memory) -> VMemEvent:
-        addr = regs[instr.base.index]
-        value = memory.read_value(addr, instr.dtype)
-        self.q[instr.qd.index] = lanes.lane_set(
-            self.q[instr.qd.index], instr.lane, value, instr.dtype
-        )
-        if instr.writeback:
-            regs[instr.base.index] = to_u32(addr + instr.dtype.size)
-        self.stats.mem_ops += 1
-        self.stats.bytes_loaded += instr.dtype.size
-        return VMemEvent(addr, instr.dtype.size, False)
-
-    def _exec_vstore_lane(self, instr: VStoreLane, regs, memory) -> VMemEvent:
-        addr = regs[instr.base.index]
-        value = lanes.lane_get(self.q[instr.qs.index], instr.lane, instr.dtype)
-        memory.write_value(addr, value, instr.dtype)
-        if instr.writeback:
-            regs[instr.base.index] = to_u32(addr + instr.dtype.size)
-        self.stats.mem_ops += 1
-        self.stats.bytes_stored += instr.dtype.size
-        return VMemEvent(addr, instr.dtype.size, True)
-
-    def _exec_vbinop(self, instr: VBinOp, regs, memory) -> None:
-        self.q[instr.qd.index] = lanes.binop(
-            instr.kind, self.q[instr.qn.index], self.q[instr.qm.index], instr.dtype
-        )
-        self.stats.arith_ops += 1
-
-    def _exec_vmla(self, instr: VMla, regs, memory) -> None:
-        self.q[instr.qd.index] = lanes.mla(
-            self.q[instr.qd.index],
-            self.q[instr.qn.index],
-            self.q[instr.qm.index],
-            instr.dtype,
-        )
-        self.stats.arith_ops += 1
-
-    def _exec_vshift(self, instr: VShiftImm, regs, memory) -> None:
-        self.q[instr.qd.index] = lanes.shift(
-            instr.kind is VShiftKind.VSHL,
-            self.q[instr.qn.index],
-            instr.amount,
-            instr.dtype,
-        )
-        self.stats.arith_ops += 1
-
-    def _exec_vunary(self, instr: VUnary, regs, memory) -> None:
-        self.q[instr.qd.index] = lanes.unary(instr.kind, self.q[instr.qn.index], instr.dtype)
-        self.stats.arith_ops += 1
-
-    def _exec_vdup(self, instr: VDup, regs, memory) -> None:
-        raw = regs[instr.rn.index]
-        value = bits_to_float(raw) if instr.dtype.is_float else raw
-        self.q[instr.qd.index] = lanes.broadcast(
-            value, instr.dtype, lanes=self.lanes_for(instr.dtype)
-        )
-        self.stats.lane_ops += 1
-
-    def _exec_vdup_imm(self, instr: VDupImm, regs, memory) -> None:
-        self.q[instr.qd.index] = lanes.broadcast(
-            instr.value, instr.dtype, lanes=self.lanes_for(instr.dtype)
-        )
-        self.stats.lane_ops += 1
-
-    def _exec_vcmp(self, instr: VCmp, regs, memory) -> None:
-        self.q[instr.qd.index] = lanes.compare(
-            instr.kind, self.q[instr.qn.index], self.q[instr.qm.index], instr.dtype
-        )
-        self.stats.arith_ops += 1
-
-    def _exec_vbsl(self, instr: VBsl, regs, memory) -> None:
-        self.q[instr.qd.index] = lanes.bitwise_select(
-            self.q[instr.qd.index], self.q[instr.qn.index], self.q[instr.qm.index]
-        )
-        self.stats.arith_ops += 1
-
-    def _exec_vmovq(self, instr: VMovQ, regs, memory) -> None:
-        self.q[instr.qd.index] = self.q[instr.qm.index].copy()
-        self.stats.lane_ops += 1
-
-    def _exec_vmov_to_core(self, instr: VMovToCore, regs, memory) -> None:
-        value = lanes.lane_get(self.q[instr.qn.index], instr.lane, instr.dtype)
-        regs[instr.rd.index] = (
-            float_to_bits(value) if instr.dtype.is_float else to_u32(int(value))
-        )
-        self.stats.lane_ops += 1
-
-    def _exec_vmov_from_core(self, instr: VMovFromCore, regs, memory) -> None:
-        raw = regs[instr.rn.index]
-        value = bits_to_float(raw) if instr.dtype.is_float else raw
-        self.q[instr.qd.index] = lanes.lane_set(
-            self.q[instr.qd.index], instr.lane, value, instr.dtype
-        )
-        self.stats.lane_ops += 1
-
-    _DISPATCH = {
-        VLoad: _exec_vload,
-        VStore: _exec_vstore,
-        VLoadLane: _exec_vload_lane,
-        VStoreLane: _exec_vstore_lane,
-        VBinOp: _exec_vbinop,
-        VMla: _exec_vmla,
-        VShiftImm: _exec_vshift,
-        VUnary: _exec_vunary,
-        VDup: _exec_vdup,
-        VDupImm: _exec_vdup_imm,
-        VCmp: _exec_vcmp,
-        VBsl: _exec_vbsl,
-        VMovQ: _exec_vmovq,
-        VMovToCore: _exec_vmov_to_core,
-        VMovFromCore: _exec_vmov_from_core,
-    }
-
-    def execute(
-        self, instr: VInstr, regs: list[int], memory: MainMemory
-    ) -> list[VMemEvent]:
-        """Execute one vector instruction (see :meth:`NeonEngine.execute`)."""
-        handler = self._DISPATCH.get(type(instr))
-        if handler is None:
-            raise ExecutionError(f"unknown vector instruction {instr!r}")
-        event = handler(self, instr, regs, memory)
-        if self.fault_hook is not None:
-            self.fault_hook(instr, self.q)
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.NEON_DISPATCH,
-                instructions=1, source="architectural", op=type(instr).__name__,
-            )
-        return [event] if event is not None else []
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        instrs: list[VInstr],
-        regs: list[int],
-        memory: MainMemory,
-    ) -> list[VMemEvent]:
-        """Execute a burst of vector instructions; returns all memory events."""
-        events: list[VMemEvent] = []
-        for instr in instrs:
-            events.extend(self.execute(instr, regs, memory))
-        return events
+        super().__init__("scalable", vl_bits)

@@ -4,11 +4,17 @@ import pytest
 
 from repro.isa import assemble
 from repro.cpu.config import CPUConfig, ScalarLatencies, VectorLatencies
+from repro.cpu.predecode import predecode
 from repro.cpu.timing import TimingModel
 
 
 def instrs(src: str):
     return list(assemble(src).instructions)
+
+
+def decoded(src: str):
+    """Predecoded scalar ops, as the simulator's run loops charge them."""
+    return predecode(assemble(src), CPUConfig()).ops[:-1]  # drop the sentinel
 
 
 def model(**kwargs) -> TimingModel:
@@ -18,70 +24,76 @@ def model(**kwargs) -> TimingModel:
 class TestScalarIssue:
     def test_single_instruction(self):
         m = model()
-        (i,) = instrs("mov r0, #1")
-        m.charge_scalar(i)
+        (i,) = decoded("mov r0, #1")
+        m.charge_scalar_decoded(i)
         assert m.drain() == 1.0
 
     def test_dual_issue_two_independent(self):
         m = model()
-        a, b = instrs("mov r0, #1\nmov r1, #2")
-        m.charge_scalar(a)
-        m.charge_scalar(b)
+        a, b = decoded("mov r0, #1\nmov r1, #2")
+        m.charge_scalar_decoded(a)
+        m.charge_scalar_decoded(b)
         # both issue in cycle 0, complete in cycle 1
         assert m.drain() == 1.0
 
     def test_third_instruction_next_cycle(self):
         m = model()
-        a, b, c = instrs("mov r0, #1\nmov r1, #2\nmov r2, #3")
+        a, b, c = decoded("mov r0, #1\nmov r1, #2\nmov r2, #3")
         for i in (a, b, c):
-            m.charge_scalar(i)
+            m.charge_scalar_decoded(i)
         assert m.drain() == 2.0
 
     def test_raw_dependency_serializes(self):
         m = model()
-        a, b = instrs("mov r0, #1\nadd r1, r0, #1")
-        m.charge_scalar(a)
-        m.charge_scalar(b)
+        a, b = decoded("mov r0, #1\nadd r1, r0, #1")
+        m.charge_scalar_decoded(a)
+        m.charge_scalar_decoded(b)
         # b waits for a's completion (cycle 1), finishes cycle 2
         assert m.drain() == 2.0
 
     def test_issue_width_one(self):
         m = model(issue_width=1)
-        a, b = instrs("mov r0, #1\nmov r1, #2")
-        m.charge_scalar(a)
-        m.charge_scalar(b)
+        a, b = decoded("mov r0, #1\nmov r1, #2")
+        m.charge_scalar_decoded(a)
+        m.charge_scalar_decoded(b)
         assert m.drain() == 2.0
 
     def test_long_latency_op(self):
         m = model()
-        (i,) = instrs("sdiv r0, r1, r2")
-        m.charge_scalar(i)
+        (i,) = decoded("sdiv r0, r1, r2")
+        m.charge_scalar_decoded(i)
         assert m.drain() == m.config.scalar.div
 
     def test_memory_latency_added(self):
         m = model()
-        (i,) = instrs("ldr r0, [r1]")
-        m.charge_scalar(i, mem_latency=10)
+        (i,) = decoded("ldr r0, [r1]")
+        m.charge_scalar_decoded(i, mem_latency=10)
         assert m.drain() == 1 + m.config.scalar.load + 10 - 1  # issue 0, lat 1+10
 
     def test_mispredict_penalty(self):
         m = model()
-        a, branch = instrs("cmp r0, #1\nbeq 0x1000")
-        m.charge_scalar(a, sets_flags=True)
+        a, branch = decoded("cmp r0, #1\nbeq 0x1000")
+        assert a.sets_flags and branch.reads_flags
+        m.charge_scalar_decoded(a)
         before = m.cycles
-        m.charge_scalar(branch, mispredicted=True, reads_flags=True)
+        m.charge_scalar_decoded(branch, mispredicted=True)
         assert m.cycles >= before + m.config.mispredict_penalty
         assert m.stats.branch_mispredicts == 1
 
     def test_flags_dependency(self):
+        # reads_flags is static on the op: an unconditional b ignores the
+        # flags cmp sets, a conditional bne waits for them
+        cmp_i, branch = decoded("cmp r0, #1\nb 0x1000")
+        assert not branch.reads_flags
         m = model()
-        cmp_i, branch = instrs("cmp r0, #1\nbne 0x1000")
-        m.charge_scalar(cmp_i, sets_flags=True)
-        m.charge_scalar(branch, reads_flags=False)
+        m.charge_scalar_decoded(cmp_i)
+        m.charge_scalar_decoded(branch)
         no_dep = m.drain()
+        cmp_i, cond_branch = decoded("cmp r0, #1\nbne 0x1000")
+        assert cond_branch.reads_flags
         m2 = model()
-        m2.charge_scalar(cmp_i, sets_flags=True)
-        m2.charge_scalar(branch, reads_flags=True)
+        m2.charge_scalar_decoded(cmp_i)
+        m2.charge_scalar_decoded(cond_branch)
         with_dep = m2.drain()
         assert with_dep >= no_dep
 
@@ -130,9 +142,9 @@ class TestVectorPath:
 
     def test_stats_accumulate(self):
         m = model()
-        sc, ve = instrs("mov r0, #1\nvadd.i32 q0, q1, q2")
-        m.charge_scalar(sc)
-        m.charge_vector(ve)
+        sc, ve = decoded("mov r0, #1\nvadd.i32 q0, q1, q2")
+        m.charge_scalar_decoded(sc)
+        m.charge_vector(ve.instr)
         assert m.stats.scalar_instructions == 1
         assert m.stats.vector_instructions == 1
 
@@ -140,8 +152,8 @@ class TestVectorPath:
 class TestDSAHooks:
     def test_suppressed_instructions_cost_nothing(self):
         m = model()
-        (i,) = instrs("add r0, r0, #1")
-        m.charge_scalar(i)
+        (i,) = decoded("add r0, r0, #1")
+        m.charge_scalar_decoded(i)
         before = m.cycles
         m.note_suppressed()
         assert m.cycles == before
@@ -159,8 +171,8 @@ class TestDSAHooks:
 
     def test_stall_resets_issue_group(self):
         m = model()
-        a, b = instrs("mov r0, #1\nmov r1, #2")
-        m.charge_scalar(a)
+        a, b = decoded("mov r0, #1\nmov r1, #2")
+        m.charge_scalar_decoded(a)
         m.add_stall(5)
-        m.charge_scalar(b)
+        m.charge_scalar_decoded(b)
         assert m.cycles > 5

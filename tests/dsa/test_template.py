@@ -236,7 +236,7 @@ class TestBurstEmission:
     def test_burst_instructions_execute_on_engine(self):
         """The emitted burst is real NEON code: executing it against a
         memory snapshot reproduces the scalar results."""
-        from repro.neon import NeonEngine
+        from repro.neon.engine import NeonEngine
 
         window, streams, memory, core = window_and_streams(VECSUM, vecsum_setup)
         t = build_template(window, streams)

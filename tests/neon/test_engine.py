@@ -22,7 +22,8 @@ from repro.isa.neon import (
     VStoreLane,
 )
 from repro.memory import Allocator, MainMemory
-from repro.neon import NeonEngine, lanes
+from repro.neon import lanes
+from repro.neon.engine import NeonEngine
 
 
 @pytest.fixture
@@ -46,7 +47,7 @@ class TestLoadsStores:
 
     def test_vst1_writes_back(self, setup):
         memory, engine, regs = setup
-        engine.write_q(2, lanes.from_lanes([9, 8, 7, 6], DType.I32))
+        engine.write_reg(2, lanes.from_lanes([9, 8, 7, 6], DType.I32))
         regs[7] = 0x200
         engine.execute(VStore(QReg(2), Reg(7), DType.I32, writeback=True), regs, memory)
         np.testing.assert_array_equal(memory.read_array(0x200, DType.I32, 4), [9, 8, 7, 6])
@@ -77,8 +78,8 @@ class TestLoadsStores:
 class TestArithmetic:
     def test_vadd(self, setup):
         memory, engine, regs = setup
-        engine.write_q(0, lanes.from_lanes([1, 2, 3, 4], DType.I32))
-        engine.write_q(1, lanes.from_lanes([10, 20, 30, 40], DType.I32))
+        engine.write_reg(0, lanes.from_lanes([1, 2, 3, 4], DType.I32))
+        engine.write_reg(1, lanes.from_lanes([10, 20, 30, 40], DType.I32))
         engine.execute(VBinOp(VBinKind.VADD, QReg(2), QReg(0), QReg(1), DType.I32), regs, memory)
         np.testing.assert_array_equal(lanes.view(engine.q[2], DType.I32), [11, 22, 33, 44])
         assert engine.stats.arith_ops == 1
@@ -103,15 +104,15 @@ class TestArithmetic:
     def test_conditional_select_pipeline(self, setup):
         """vcgt + vbsl implements if (a>b) out=a else out=b."""
         memory, engine, regs = setup
-        engine.write_q(0, lanes.from_lanes([1, 9, 3, 9], DType.I32))
-        engine.write_q(1, lanes.from_lanes([5, 5, 5, 5], DType.I32))
+        engine.write_reg(0, lanes.from_lanes([1, 9, 3, 9], DType.I32))
+        engine.write_reg(1, lanes.from_lanes([5, 5, 5, 5], DType.I32))
         engine.execute(VCmp(VCmpKind.VCGT, QReg(2), QReg(0), QReg(1), DType.I32), regs, memory)
         engine.execute(VBsl(QReg(2), QReg(0), QReg(1)), regs, memory)
         np.testing.assert_array_equal(lanes.view(engine.q[2], DType.I32), [5, 9, 5, 9])
 
     def test_vmovq_copies(self, setup):
         memory, engine, regs = setup
-        engine.write_q(4, lanes.broadcast(3, DType.I32))
+        engine.write_reg(4, lanes.broadcast(3, DType.I32))
         engine.execute(VMovQ(QReg(5), QReg(4)), regs, memory)
         np.testing.assert_array_equal(engine.q[5], engine.q[4])
 
@@ -148,7 +149,7 @@ class TestBurstsAndReset:
 
     def test_reset_clears_everything(self, setup):
         memory, engine, regs = setup
-        engine.write_q(0, lanes.broadcast(1, DType.I8))
+        engine.write_reg(0, lanes.broadcast(1, DType.I8))
         engine.stats.arith_ops = 5
         engine.reset()
         assert engine.q[0].sum() == 0
