@@ -452,7 +452,7 @@ def compile_region(dec: DecodedProgram, head: int, config):
     head_pc = dec.base + (head << 2)
     code = compile(src, f"<compiled block 0x{head_pc:x}>", "exec")
     exec(code, ns)
-    blk = CompiledBlock(
+    return CompiledBlock(
         run=ns["__block_run__"],
         head_idx=head,
         head_pc=head_pc,
@@ -460,8 +460,3 @@ def compile_region(dec: DecodedProgram, head: int, config):
         exit_pc=dec.base + ((br + 1) << 2),
         n_ops=br - head + 1,
     )
-    if config.compile_numpy:
-        from .bulkloop import attach_bulk
-
-        attach_bulk(blk, dec, head, br, config)
-    return blk

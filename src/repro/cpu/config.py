@@ -63,9 +63,10 @@ class CPUConfig:
     clock_hz: float = 1e9
     issue_width: int = 2
     mispredict_penalty: int = 8
-    #: execution tiers.  Every combination reproduces the golden run
-    #: matrix (tests/golden_runs.json) bit for bit; the knobs trade host
-    #: time only.  The program is always predecoded into direct-dispatch
+    #: execution tiers (fast / traced / compiled / covered).  Every
+    #: combination of the two knobs below reproduces the golden run
+    #: matrix (tests/golden_runs.json) bit for bit; they trade host time
+    #: only.  The program is always predecoded into direct-dispatch
     #: closures (repro.cpu.predecode) and run by the record-free fast loop
     #: or, with retire hooks or a timing suppressor attached, the traced
     #: loop.
@@ -74,9 +75,6 @@ class CPUConfig:
     #: a fused closure executing a whole guest iteration per host dispatch
     #: with batched timing (fast loop only)
     compile_hot: bool = True
-    #: lower eligible straight-line lane math (affine load/ALU/store
-    #: bodies) to a numpy kernel inside the compiled block
-    compile_numpy: bool = True
     #: covered execution: once an attached DSA has fully characterized a
     #: loop (template built, verdict rendered, address streams stable) it
     #: may declare the PC region *covered* and retire whole iterations

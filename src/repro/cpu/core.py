@@ -46,8 +46,8 @@ class CoreResult:
     icounts: Counter = field(default_factory=Counter)
     hierarchy_stats: dict = field(default_factory=dict)
     #: instructions retired per execution tier (fast / traced / compiled /
-    #: bulk / covered) — diagnostic only, never serialized into
-    #: the canonical RunResult payload
+    #: covered) — diagnostic only, never serialized into the canonical
+    #: RunResult payload
     tier_counts: dict = field(default_factory=dict)
 
     @property
@@ -218,8 +218,7 @@ class Core:
         tiers = self.tier_counts
         seq = self.seq
         seq0 = seq
-        blk_ops = 0            # retired inside compiled blocks (incl. bulk)
-        b0 = tiers["bulk"]     # bulk batches bump their tier directly
+        blk_ops = 0  # retired inside compiled blocks
         pc = self.pc
         idx = (pc - base) >> 2
         try:
@@ -314,8 +313,7 @@ class Core:
                 c = counts[i]
                 if c:
                     icounts[ops[i].kind_name] += c
-            bulk_d = tiers["bulk"] - b0
-            tiers["compiled"] += blk_ops - bulk_d
+            tiers["compiled"] += blk_ops
             tiers[tier] += (seq - seq0) - blk_ops
             if window is not None:
                 self._region_boundaries = counts[hi_idx]
@@ -327,11 +325,11 @@ class Core:
         tier = self.tier_counts
         seq0 = self.seq
         # the other tiers fold their own residency; traced is the residual
-        c0 = tier["compiled"] + tier["bulk"] + tier["covered"]
+        c0 = tier["compiled"] + tier["covered"]
         try:
             self._traced_loop(dec, max_instructions)
         finally:
-            other = tier["compiled"] + tier["bulk"] + tier["covered"] - c0
+            other = tier["compiled"] + tier["covered"] - c0
             tier["traced"] += (self.seq - seq0) - other
 
     def _traced_loop(self, dec: DecodedProgram, max_instructions: int) -> None:

@@ -20,7 +20,7 @@ afterwards.  A covered loop is in one of three timing regimes:
   ``records_observed``.  The region runs through the core's own
   record-free fast loop (``Core._run_decoded_fast``) bounded to the
   ``[head_pc, end_pc]`` window — normal timing and hierarchy charges,
-  inner compiled/bulk blocks dispatched as usual — which returns as soon
+  inner compiled blocks dispatched as usual — which returns as soon
   as control leaves the window.
 
 * **post-limit cover** — the loop is still in EXECUTE but the coverage

@@ -18,9 +18,8 @@ the dominant host-side costs.  This module lowers an assembled
 
 The :class:`DecodedOp` array is also the substrate every higher execution
 tier compiles or scans from — compiled blocks
-(:mod:`repro.cpu.blockcompile`), numpy bulk loops
-(:mod:`repro.cpu.bulkloop`) and covered-execution regions
-(:mod:`repro.cpu.covered`) all consume the static metadata here rather
+(:mod:`repro.cpu.blockcompile`) and covered-execution regions
+(:mod:`repro.cpu.covered`) both consume the static metadata here rather
 than re-deriving it from instruction objects.
 
 The closures build on the pure functions of :mod:`repro.cpu.executor`.

@@ -52,7 +52,7 @@ class RunResult:
     backend: str = "neon"       # vector backend the run executed on
     vl: int = 128               # vector length in bits
     #: host-side execution-tier residency (traced/fast/compiled/
-    #: bulk/covered → instructions retired there).  Pure observability:
+    #: covered → instructions retired there).  Pure observability:
     #: two byte-identical runs may retire the same work in different
     #: tiers (e.g. covered_execution on/off), so this never serializes
     #: with the result, is excluded from equality, and rides live objects
@@ -155,8 +155,8 @@ class RunMetrics:
     fallback_causes: dict | None = None  # guard-rollback causes, if a DSA ran
     profile: dict | None = None      # RunProfile.to_dict() when observed live
     #: execution-tier residency of a live run (instructions retired per
-    #: tier: traced/fast/compiled/bulk/covered); None for cache
-    #: hits, which did no simulation
+    #: tier: traced/fast/compiled/covered); None for cache hits,
+    #: which did no simulation
     tier_counts: dict | None = None
 
     @property

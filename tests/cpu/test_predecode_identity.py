@@ -1,12 +1,12 @@
 """Tier identity: every rung of the execution ladder against the golden matrix.
 
-The predecoded interpreter, the compiled hot-loop tier and its numpy bulk
-lowering are host-side choices only; everything observable — cycles,
-instruction counts, cache stats, timing stats, energy inputs, DSA
-behaviour, the TraceRecord stream, error messages — must be identical bit
-for bit.  ``tests/golden_runs.json`` pins the results absolutely (see
+The predecoded interpreter and the compiled hot-loop tier are host-side
+choices only; everything observable — cycles, instruction counts, cache
+stats, timing stats, energy inputs, DSA behaviour, the TraceRecord
+stream, error messages — must be identical bit for bit.
+``tests/golden_runs.json`` pins the results absolutely (see
 ``tests/regen_golden_runs.py``); the ``max_instructions`` cuts, which no
-golden covers, compare the compiled tiers against the interpreter tier.
+golden covers, compare the compiled tier against the interpreter tier.
 """
 
 import pytest
@@ -26,8 +26,7 @@ from ..regen_golden_runs import TRACE_RUN, assert_golden, load_golden, trace_str
 #: RunResults
 TIER_CONFIGS = {
     "interp": CPUConfig(compile_hot=False),
-    "compiled": CPUConfig(compile_hot=True, compile_numpy=False),
-    "bulk": CPUConfig(compile_hot=True, compile_numpy=True),
+    "compiled": CPUConfig(compile_hot=True),
 }
 
 MICRO_KINDS = sorted(LOOP_TYPE_MICROKERNELS)
@@ -47,7 +46,7 @@ class TestRunResultIdentity:
 
 class TestCompiledTierIdentity:
     """Each tier of the execution ladder must reproduce the golden matrix,
-    including the compiled hot-loop tier and its numpy bulk lowering."""
+    including the compiled hot-loop tier."""
 
     @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
     @pytest.mark.parametrize("kind", MICRO_KINDS)
@@ -165,11 +164,10 @@ class TestErrorPathIdentity:
 class TestMaxInstructionBoundaries:
     """``max_instructions`` must cut every tier at the identical point.
 
-    The compiled tiers retire whole loop bodies (and, with numpy lowering,
-    whole batches of iterations) per host dispatch, so the limit can land
-    at a block entry, mid-body, or mid-batch; the architected state and the
-    error message must still match the interpreter tier stopped at the
-    same seq.
+    The compiled tier retires whole loop bodies per host dispatch, so the
+    limit can land at a block entry or mid-body; the architected state
+    and the error message must still match the interpreter tier stopped
+    at the same seq.
     """
 
     # 5-op counted store loop: 2 setup ops, 200 iterations, halt => 1003
@@ -186,12 +184,12 @@ class TestMaxInstructionBoundaries:
     """
     TOTAL = 2 + 200 * 5 + 1
 
-    # entry-aligned, every mid-body offset, mid-batch, around completion
+    # entry-aligned, every mid-body offset, deep in the loop, around completion
     LIMITS = [7, 10, 11, 12, 13, 14, 251, 252, 497,
               TOTAL - 3, TOTAL - 1, TOTAL, TOTAL + 1]
 
     #: the tier counter each config must actually exercise on this loop
-    ENGAGED = {"interp": "fast", "compiled": "compiled", "bulk": "bulk"}
+    ENGAGED = {"interp": "fast", "compiled": "compiled"}
 
     @pytest.mark.parametrize("tier", sorted(TIER_CONFIGS))
     def test_boundary_parity(self, tier):

@@ -22,6 +22,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from repro.systems.campaign import RunSpec, execute_spec
+from repro.systems.metrics import RunResult
 from repro.systems.runner import execute_kernel
 from repro.systems.setups import DSA_STAGES, SYSTEM_NAMES, lower_for
 from repro.workloads import ALL_WORKLOADS, load
@@ -37,6 +38,9 @@ WORKLOADS = tuple(sorted(ALL_WORKLOADS)) + tuple(
 
 #: the traced run whose record stream is pinned (workload, system)
 TRACE_RUN = ("rgb_gray", "arm_original")
+
+#: the execution tiers a retirement can be credited to
+TIERS = frozenset({"fast", "traced", "compiled", "covered"})
 
 
 def golden_specs(backend: str = "neon", vl: int = 128) -> list[RunSpec]:
@@ -55,17 +59,18 @@ def canonical(d: dict) -> str:
     return json.dumps(d, sort_keys=True)
 
 
-def result_digest(spec: RunSpec, cpu_config=None, **run_kwargs) -> tuple[dict, str]:
-    """Run ``spec`` and return its RunResult dict and the sha256 of it.
+def result_digest(spec: RunSpec, cpu_config=None, **run_kwargs) -> tuple[RunResult, str]:
+    """Run ``spec`` and return its RunResult and the sha256 of its dict.
 
     The backend identity keys are left out of the digest, so a scalable
     run at VL=128 must reproduce its NEON entry exactly.  ``run_kwargs``
     go to :func:`execute_spec` (``guard``, ``observer``, ...).
     """
-    d = execute_spec(spec, cpu_config=cpu_config, **run_kwargs).to_dict()
+    result = execute_spec(spec, cpu_config=cpu_config, **run_kwargs)
+    d = result.to_dict()
     d.pop("backend", None)
     d.pop("vl", None)
-    return d, hashlib.sha256(canonical(d).encode()).hexdigest()
+    return result, hashlib.sha256(canonical(d).encode()).hexdigest()
 
 
 @lru_cache(maxsize=1)
@@ -75,10 +80,20 @@ def load_golden() -> dict:
 
 def assert_golden(spec: RunSpec, cpu_config=None, **run_kwargs) -> None:
     """Fail unless ``spec`` reproduces its committed entry; a scalable
-    spec is checked against the NEON entry of the same label."""
+    spec is checked against the NEON entry of the same label.
+
+    Every retired instruction must also be credited to exactly one
+    execution tier.
+    """
     want = load_golden()["runs"][spec.label.split("@")[0]]
-    d, digest = result_digest(spec, cpu_config, **run_kwargs)
-    assert (d["cycles"], d["instructions"]) == (want["cycles"], want["instructions"])
+    result, digest = result_digest(spec, cpu_config, **run_kwargs)
+    assert (result.cycles, result.instructions) == (want["cycles"], want["instructions"])
+    tiers = result.tier_counts
+    assert set(tiers) <= TIERS, f"{spec.label}: unknown tier in {tiers}"
+    assert sum(tiers.values()) == result.instructions, (
+        f"{spec.label}: tier residency {tiers} does not sum to "
+        f"{result.instructions} instructions"
+    )
     assert digest == want["digest"], (
         f"{spec.label} drifted from tests/golden_runs.json; regenerate ONLY "
         f"on an intentional change to the simulated machine: "
@@ -120,10 +135,10 @@ def trace_stream_digest(cpu_config=None) -> tuple[int, str]:
 def main() -> None:
     runs = {}
     for spec in golden_specs():
-        d, digest = result_digest(spec)
+        result, digest = result_digest(spec)
         runs[spec.label] = {
-            "cycles": d["cycles"],
-            "instructions": d["instructions"],
+            "cycles": result.cycles,
+            "instructions": result.instructions,
             "digest": digest,
         }
     records, digest = trace_stream_digest()

@@ -7,7 +7,7 @@ Four fronts, matching the paper kernels' own guarantees:
 * the taxonomy edge — the sentinel scan in ``delim_scan`` is vectorized
   by the run-time DSA but untouchable for the static NEON compiler, the
   verdict the whole reproduction exists to show;
-* identity — every execution tier (interp/compiled/bulk/covered) and
+* identity — every execution tier (interp/compiled/covered) and
   both vector backends at VL=128 reproduce the golden run matrix
   (``tests/golden_runs.json``), guard mode under an injected fault plan
   is identical with covering on and off, and wider VLs move timing only;
@@ -42,12 +42,11 @@ from ..regen_golden_runs import assert_golden
 
 STREAMING = sorted(STREAMING_WORKLOADS)
 
-#: one config per rung of the execution-tier ladder; all four must
+#: one config per rung of the execution-tier ladder; all three must
 #: reproduce the golden matrix (the ladder is host-side only)
 TIER_CONFIGS = {
     "interp": CPUConfig(compile_hot=False, covered_execution=False),
-    "compiled": CPUConfig(compile_numpy=False, covered_execution=False),
-    "bulk": CPUConfig(covered_execution=False),
+    "compiled": CPUConfig(covered_execution=False),
     "covered": CPUConfig(),
 }
 
