@@ -6,7 +6,10 @@ The matrix is every registered workload (paper, streaming and
 ``seed=3`` and test scale.  Each entry is keyed by its ``RunSpec`` label
 and holds the sha256 of the canonical ``RunResult`` JSON.  The file also
 pins the ``TraceRecord`` stream one traced run delivers to its retire
-hooks.  ``tests/test_golden_runs.py`` checks every execution tier and the
+hooks, and the full observer event stream of a few ``neon_dsa`` runs
+(:func:`event_specs`), so a DSA engine change that reorders, drops or
+re-stamps a decision event shows up even when the RunResult does not move.
+``tests/test_golden_runs.py`` checks every execution tier and the
 scalable backend at VL=128 against these digests.
 
 Regenerate ONLY after an intentional change to the simulated machine
@@ -21,6 +24,8 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
+from repro.faults import FaultPlan, FaultSpec
+from repro.observe import Observer
 from repro.systems.campaign import RunSpec, execute_spec
 from repro.systems.metrics import RunResult
 from repro.systems.runner import execute_kernel
@@ -41,6 +46,10 @@ TRACE_RUN = ("rgb_gray", "arm_original")
 
 #: the execution tiers a retirement can be credited to
 TIERS = frozenset({"fast", "traced", "compiled", "covered"})
+
+#: workloads whose ``neon_dsa[full]`` event stream is pinned, beside the
+#: ``micro:<kind>`` kernels: one per remaining DSA verdict shape
+EVENT_WORKLOADS = ("delim_scan", "matmul", "dijkstra", "utf8_validate")
 
 
 def golden_specs(backend: str = "neon", vl: int = 128) -> list[RunSpec]:
@@ -132,6 +141,43 @@ def trace_stream_digest(cpu_config=None) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def event_specs() -> dict[str, tuple[RunSpec, dict]]:
+    """The observed runs whose event stream is pinned, keyed by name.
+
+    Each value is the spec and the extra :func:`execute_spec` keywords:
+    every ``micro:<kind>`` kernel and :data:`EVENT_WORKLOADS` on
+    ``neon_dsa[full]``, ``micro:count`` at the earlier DSA stages, and
+    ``micro:count`` guarded under a lane-corruption fault plan.
+    """
+    runs: dict[str, tuple[RunSpec, dict]] = {}
+    micro = tuple(w for w in WORKLOADS if w.startswith("micro:"))
+    for workload in micro + EVENT_WORKLOADS:
+        spec = RunSpec(workload, "neon_dsa", seed=SEED)
+        runs[spec.label] = (spec, {})
+    for stage in ("original", "extended"):
+        spec = RunSpec("micro:count", "neon_dsa", dsa_stage=stage, seed=SEED)
+        runs[spec.label] = (spec, {})
+    spec = RunSpec("micro:count", "neon_dsa", seed=SEED)
+    plan = FaultPlan(faults=[FaultSpec(kind="lane", match="micro:count/*")])
+    runs[f"{spec.label}+guard+lane"] = (spec, {"guard": True, "plan": plan})
+    return runs
+
+
+def event_stream_digest(spec: RunSpec, cpu_config=None, **run_kwargs) -> tuple[int, str]:
+    """Event count and sha256 of one observed run's event stream.
+
+    Each event contributes its seq, kind, cycle and payload; the host
+    timestamp ``ts_us`` is left out, so the digest is deterministic.
+    """
+    obs = Observer()
+    execute_spec(spec, cpu_config=cpu_config, observer=obs, **run_kwargs)
+    h = hashlib.sha256()
+    for e in obs.events:
+        h.update(json.dumps([e.seq, e.kind.value, e.cycle, e.args], sort_keys=True).encode())
+        h.update(b"\n")
+    return len(obs.events), h.hexdigest()
+
+
 def main() -> None:
     runs = {}
     for spec in golden_specs():
@@ -142,15 +188,22 @@ def main() -> None:
             "digest": digest,
         }
     records, digest = trace_stream_digest()
+    events = {}
+    for name, (spec, kwargs) in event_specs().items():
+        count, stream_digest = event_stream_digest(spec, **kwargs)
+        events[name] = {"events": count, "digest": stream_digest}
     golden = {
         "_note": (
             f"sha256 of the canonical RunResult of every registered workload x "
             f"system (neon_dsa at every DSA stage), seed={SEED}, scale=test, "
             f"keyed by RunSpec label; plus the TraceRecord stream of "
-            f"{'/'.join(TRACE_RUN)}. Regenerate ONLY on an intentional change "
-            f"to the simulated machine: PYTHONPATH=src python tests/regen_golden_runs.py"
+            f"{'/'.join(TRACE_RUN)}; plus the observer event streams (seq, kind, "
+            f"cycle, args) of {len(events)} neon_dsa runs. Regenerate ONLY on an "
+            f"intentional change to the simulated machine: "
+            f"PYTHONPATH=src python tests/regen_golden_runs.py"
         ),
         "runs": runs,
+        "event_streams": events,
         "trace_streams": {
             "/".join(TRACE_RUN): {"records": records, "digest": digest},
         },
