@@ -68,7 +68,6 @@ class LoopKind(Enum):
 class Leftover(Enum):
     SINGLE_ELEMENTS = "single_elements"
     OVERLAPPING = "overlapping"
-    LARGER_ARRAYS = "larger_arrays"
 
 
 @dataclass
@@ -106,9 +105,7 @@ class CacheEntry:
     reason: str = ""
     template: LoopTemplate | None = None
     path_templates: dict[tuple, LoopTemplate] = field(default_factory=dict)
-    path_suppress: dict[tuple, frozenset] = field(default_factory=dict)
     suppress_pcs: frozenset = frozenset()
-    scalar_pcs: frozenset = frozenset()
     cmp_pc: int | None = None
     bound_kind: str | None = None       # 'imm' | 'reg'
     bound_value: int = 0                # immediate, or register index
@@ -135,18 +132,17 @@ class _LoopContext:
     """Per-loop runtime state inside the DSA."""
 
     __slots__ = (
-        "loop_id", "end_pc", "dsa", "state", "iteration", "window",
-        "path_windows", "path_counts", "streams", "call_depth", "has_inner",
-        "has_call", "entry", "vcache_overflow", "suppress_pcs", "scalar_pcs",
+        "loop_id", "end_pc", "state", "iteration", "window",
+        "path_windows", "streams", "call_depth", "has_inner",
+        "has_call", "entry", "vcache_overflow", "suppress_pcs",
         "suppress_active", "covered", "first_covered", "suppress_limit",
         "path_map", "invariants", "snapshot", "snapshot_done",
         "current_path", "last_window", "pending_abort_reason",
     )
 
-    def __init__(self, loop_id: int, end_pc: int, dsa: "DynamicSIMDAssembler"):
+    def __init__(self, loop_id: int, end_pc: int):
         self.loop_id = loop_id
         self.end_pc = end_pc
-        self.dsa = dsa
         self.state = _State.COLLECT
         self.iteration = 1           # completed iterations
         self.window: list[TraceRecord] = []
@@ -155,7 +151,6 @@ class _LoopContext:
         #: where ``window`` is that iteration's full record list — the
         #: shape ``_loop_shape`` and the conditional-verdict logic consume
         self.path_windows: dict[tuple, list[tuple[int, list[TraceRecord]]]] = {}
-        self.path_counts: Counter = Counter()
         self.streams: dict[int, MemStream] = {}
         self.call_depth = 0
         self.has_inner = False
@@ -164,7 +159,6 @@ class _LoopContext:
         self.vcache_overflow = False
         # execution state
         self.suppress_pcs: frozenset = frozenset()
-        self.scalar_pcs: frozenset = frozenset()
         self.suppress_active = False
         self.covered = 0
         self.first_covered = 0
@@ -176,10 +170,6 @@ class _LoopContext:
         self.current_path: list[int] = []
         self.last_window: list = []
         self.pending_abort_reason: str | None = None
-
-    # ------------------------------------------------------------------
-    def contains(self, pc: int) -> bool:
-        return (self.loop_id <= pc <= self.end_pc) or self.call_depth > 0
 
 
 #: "no plan built yet" marker for the cover-plan cache (None is a verdict)
@@ -279,11 +269,15 @@ class DynamicSIMDAssembler:
         )
 
     # ------------------------------------------------------------------
-    # observability (every site guards on ``observer is None``: zero
-    # overhead when detached, and nothing here is on the record hot path)
+    # observability (one ``observer is None`` check: zero overhead when
+    # detached, and nothing here is on the record hot path)
     # ------------------------------------------------------------------
-    def _obs_cycle(self) -> int | None:
-        return self.core.timing.cycles if self.core is not None else None
+    def _emit(self, kind: EventKind, **args) -> None:
+        """Emit one event stamped with the core's current cycle."""
+        obs = self.observer
+        if obs is not None:
+            cycle = self.core.timing.cycles if self.core is not None else None
+            obs.emit(kind, cycle=cycle, **args)
 
     def _rebuild_suppression(self) -> None:
         pcs: set[int] = set()
@@ -343,7 +337,10 @@ class DynamicSIMDAssembler:
             or core.timing_suppressor != self._suppressor
         ):
             return  # someone else reads records (deadline hook, ...)
-        plan = self._cover_plan(head_pc, ctx.end_pc)
+        if mode is _COVER_SUPPRESSED:
+            plan = self._suppressed_cover_plan(ctx)
+        else:
+            plan = self._cover_plan(head_pc, ctx.end_pc)
         if plan is None:
             return
         # every other live context must be inert (SCALAR) and must contain
@@ -384,6 +381,21 @@ class DynamicSIMDAssembler:
             self._cover_plans[key] = plan
         return plan
 
+    def _suppressed_cover_plan(self, ctx: _LoopContext):
+        """The plan that replays ``ctx``'s suppressed EXECUTE record-free,
+        or None when the region cannot be covered that way.
+
+        Guard mode and a fault injector need every record; the plan must
+        be built, its block compiled, and its pcs exactly the suppressed
+        ones.  The cover hook and the LOOP_COVERED event both ask here.
+        """
+        if self.guard or self.injector is not None:
+            return None
+        plan = self._cover_plan(ctx.loop_id, ctx.end_pc)
+        if plan is None or plan.block is None or ctx.suppress_pcs != plan.pcs:
+            return None
+        return plan
+
     def _run_suppressed_cover(self, ctx: _LoopContext, plan, limit: int) -> None:
         """Release a suppressed-EXECUTE region and replay the DSA effects.
 
@@ -396,10 +408,9 @@ class DynamicSIMDAssembler:
         also appended, but during suppression they equal the prediction by
         construction — a deviating access aborts instead — so skipping
         them is unobservable: ``gap()`` and ``addr_at`` are fixed by the
-        first samples.)  All of it is folded here in bulk.
+        first samples.)  All of it is folded here in bulk.  ``plan`` comes
+        from :meth:`_suppressed_cover_plan`.
         """
-        if plan.block is None or ctx.suppress_pcs != plan.pcs:
-            return
         if ctx.suppress_limit is not None:
             budget = ctx.suppress_limit - ctx.covered
             if budget <= 0:
@@ -606,19 +617,15 @@ class DynamicSIMDAssembler:
 
         entry = self.cache.lookup(loop_id)
         self._charge_detection(self.config.latencies.dsa_cache_access)
-        obs = self.observer
-        if obs is not None:
-            cycle = self._obs_cycle()
-            obs.emit(EventKind.LOOP_DETECTED, cycle=cycle,
-                     loop_id=hex(loop_id), end_pc=hex(end_pc))
-            obs.emit(
-                EventKind.CACHE_HIT if entry is not None else EventKind.CACHE_MISS,
-                cycle=cycle, cache="dsa_cache", key=hex(loop_id),
-            )
+        self._emit(EventKind.LOOP_DETECTED, loop_id=hex(loop_id), end_pc=hex(end_pc))
+        self._emit(
+            EventKind.CACHE_HIT if entry is not None else EventKind.CACHE_MISS,
+            cache="dsa_cache", key=hex(loop_id),
+        )
         if entry is not None:
-            self._start_from_cache(loop_id, end_pc, entry, record)
+            self._start_from_cache(loop_id, end_pc, entry)
             return
-        ctx = _LoopContext(loop_id, end_pc, self)
+        ctx = _LoopContext(loop_id, end_pc)
         self.contexts[loop_id] = ctx
         self._ctx_snapshot = tuple(self.contexts.values())
         self.stats.analyses_started += 1
@@ -649,7 +656,7 @@ class DynamicSIMDAssembler:
             or record.next_pc != ctx.loop_id
         ):
             # completely outside this loop: it has ended
-            self._finalize(ctx, record)
+            self._finalize(ctx)
             return
         else:
             # outside the body, but a backward branch into the loop head
@@ -667,7 +674,7 @@ class DynamicSIMDAssembler:
 
         # iteration boundary: the backward branch at the loop's end
         if pc == ctx.end_pc and record.branch_taken and record.next_pc == ctx.loop_id:
-            self._iteration_boundary(ctx, record)
+            self._iteration_boundary(ctx)
         elif pc == ctx.end_pc and record.branch_taken is False:
             # fall-through exit: close the final iteration (the next record
             # lies outside the loop and triggers finalization)
@@ -726,30 +733,24 @@ class DynamicSIMDAssembler:
         stream.add_sample(current_iter, access.addr)
 
     # ------------------------------------------------------------------
-    def _iteration_boundary(self, ctx: _LoopContext, record: TraceRecord) -> None:
+    def _iteration_boundary(self, ctx: _LoopContext) -> None:
         ctx.iteration += 1
         window, ctx.window = ctx.window, []
-
-        if ctx.state is _State.COLLECT:
+        if ctx.state in (_State.COLLECT, _State.ANALYZE, _State.MAP_ANALYZE):
             self.stats.detection_cycles += len(window)
             ctx.last_window = window
             ctx.path_windows.setdefault(tuple(r.pc for r in window), []).append((ctx.iteration, window))
+
+        if ctx.state is _State.COLLECT:
             if self._try_fast_resume(ctx, window):
                 return
             ctx.state = _State.ANALYZE
             self.stats.stage_activations["dependency_analysis"] += 1
         elif ctx.state is _State.ANALYZE:
-            self.stats.detection_cycles += len(window)
-            ctx.last_window = window
-            ctx.path_windows.setdefault(tuple(r.pc for r in window), []).append((ctx.iteration, window))
-            self._analyze(ctx, window, record)
+            self._analyze(ctx)
         elif ctx.state is _State.MAP_ANALYZE:
-            self.stats.detection_cycles += len(window)
-            ctx.last_window = window
-            sig = tuple(r.pc for r in window)
-            ctx.path_windows.setdefault(sig, []).append((ctx.iteration, window))
             self.stats.stage_activations["mapping"] += 1
-            self._try_conditional_verdict(ctx, record)
+            self._try_conditional_verdict(ctx)
         elif ctx.state is _State.EXECUTE:
             if ctx.pending_abort_reason:
                 self._abort_execution(ctx)
@@ -868,32 +869,29 @@ class DynamicSIMDAssembler:
     # ------------------------------------------------------------------
     # analysis (end of iteration 3)
     # ------------------------------------------------------------------
-    def _analyze(self, ctx: _LoopContext, window: list[TraceRecord], record: TraceRecord) -> None:
+    def _analyze(self, ctx: _LoopContext) -> None:
         feats = self._loop_shape(ctx)
         if ctx.has_inner:
-            self._cache_verdict(ctx, LoopKind.NESTED_OUTER, False, "contains inner loop")
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.NESTED_OUTER, "contains inner loop")
             return
         if ctx.vcache_overflow:
-            self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, "verification cache overflow")
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.NON_VECTORIZABLE, "verification cache overflow")
             return
 
         if feats["conditional"]:
             if not (self.config.features.conditional and (not ctx.has_call or self.config.features.function)):
-                self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, "conditional loops disabled")
-                ctx.state = _State.SCALAR
+                self._reject(ctx, LoopKind.CONDITIONAL, "conditional loops disabled")
                 return
             ctx.state = _State.MAP_ANALYZE
             self.stats.stage_activations["mapping"] += 1
-            self._try_conditional_verdict(ctx, record)
+            self._try_conditional_verdict(ctx)
             return
 
         if feats["sentinel"]:
-            self._analyze_sentinel(ctx, record)
+            self._analyze_sentinel(ctx)
             return
 
-        self._analyze_straight(ctx, record, feats)
+        self._analyze_straight(ctx)
 
     def _loop_shape(self, ctx: _LoopContext) -> dict:
         """Classify the loop's control structure from the observed windows."""
@@ -996,12 +994,11 @@ class DynamicSIMDAssembler:
         return 0
 
     # ------------------------------------------------------------------
-    def _analyze_straight(self, ctx: _LoopContext, record: TraceRecord, feats: dict) -> None:
+    def _analyze_straight(self, ctx: _LoopContext) -> None:
         window = ctx.path_windows[next(iter(ctx.path_windows))][-1][1]
         info = self._find_bound(ctx, window)
         if info is None:
-            self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, "no recognizable loop bound")
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.NON_VECTORIZABLE, "no recognizable loop bound")
             return
 
         kind = LoopKind.COUNT
@@ -1016,15 +1013,13 @@ class DynamicSIMDAssembler:
             LoopKind.DYNAMIC_RANGE: self.config.features.dynamic_range,
         }[kind]
         if not gate:
-            self._cache_verdict(ctx, kind, False, f"{kind.value} loops disabled", info=info)
-            ctx.state = _State.SCALAR
+            self._reject(ctx, kind, f"{kind.value} loops disabled", info=info)
             return
 
         try:
             template = self._build_template(window, ctx.streams)
         except TemplateReject as exc:
-            self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, str(exc), info=info)
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.NON_VECTORIZABLE, str(exc), info=info)
             return
 
         remaining = self._remaining_iterations(info)
@@ -1039,10 +1034,7 @@ class DynamicSIMDAssembler:
         if verdict.dependent:
             chunk = safe_chunk(verdict, template.lanes) if self.config.features.partial else None
             if chunk is None:
-                self._cache_verdict(
-                    ctx, LoopKind.NON_VECTORIZABLE, False, "cross-iteration dependency", info=info
-                )
-                ctx.state = _State.SCALAR
+                self._reject(ctx, LoopKind.NON_VECTORIZABLE, "cross-iteration dependency", info=info)
                 return
             kind = LoopKind.PARTIAL
 
@@ -1064,25 +1056,13 @@ class DynamicSIMDAssembler:
                 pc: (st.gap(), st.is_write, st.dtype) for pc, st in ctx.streams.items()
             },
         )
-        self.cache.insert(ctx.loop_id, entry)
-        self.stats.verdicts[kind.value] += 1
-        if self.observer is not None:
-            cycle = self._obs_cycle()
-            self.observer.emit(
-                EventKind.TEMPLATE_BUILT, cycle=cycle, loop_id=hex(ctx.loop_id),
-                lanes=template.lanes, streams=len(template.streams),
-            )
-            self.observer.emit(
-                EventKind.LOOP_VERDICT, cycle=cycle, loop_id=hex(ctx.loop_id),
-                loop_kind=kind.value, vectorizable=True,
-            )
+        self._accept(ctx, entry, template.lanes, len(template.streams))
         self._begin_execution(ctx, entry, remaining)
 
     # ------------------------------------------------------------------
-    def _analyze_sentinel(self, ctx: _LoopContext, record: TraceRecord) -> None:
+    def _analyze_sentinel(self, ctx: _LoopContext) -> None:
         if not self.config.features.sentinel:
-            self._cache_verdict(ctx, LoopKind.SENTINEL, False, "sentinel loops disabled")
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.SENTINEL, "sentinel loops disabled")
             return
         window = ctx.path_windows[next(iter(ctx.path_windows))][-1][1]
         # the exit branch: first conditional branch leaving the loop range
@@ -1098,14 +1078,12 @@ class DynamicSIMDAssembler:
                 exit_pc = rec.pc
                 break
         if exit_pc is None:
-            self._cache_verdict(ctx, LoopKind.NON_VECTORIZABLE, False, "sentinel without exit branch")
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.NON_VECTORIZABLE, "sentinel without exit branch")
             return
         try:
             template = self._build_template(window, ctx.streams)
         except TemplateReject as exc:
-            self._cache_verdict(ctx, LoopKind.SENTINEL, False, str(exc))
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.SENTINEL, str(exc))
             return
 
         # the speculative range fills the vector unit on the first run and
@@ -1116,48 +1094,30 @@ class DynamicSIMDAssembler:
             spec_range = template.lanes
         verdict = predict_cid(list(ctx.streams.values()), ctx.iteration + spec_range)
         if verdict.dependent:
-            self._cache_verdict(ctx, LoopKind.SENTINEL, False, "cross-iteration dependency")
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.SENTINEL, "cross-iteration dependency")
             return
 
         # the stop-condition computation keeps running on the scalar core
         scalar_pcs = {r.pc for r in window if r.pc <= exit_pc} | {ctx.end_pc}
-        suppress = frozenset(r.pc for r in window) - frozenset(scalar_pcs)
         entry = CacheEntry(
             kind=LoopKind.SENTINEL,
             vectorizable=True,
             template=template,
-            suppress_pcs=suppress,
-            scalar_pcs=frozenset(scalar_pcs),
+            suppress_pcs=frozenset(r.pc for r in window) - frozenset(scalar_pcs),
             spec_range=spec_range,
             leftover=Leftover.SINGLE_ELEMENTS,
         )
-        self.cache.insert(ctx.loop_id, entry)
-        self.stats.verdicts[LoopKind.SENTINEL.value] += 1
-        if self.observer is not None:
-            cycle = self._obs_cycle()
-            self.observer.emit(
-                EventKind.TEMPLATE_BUILT, cycle=cycle, loop_id=hex(ctx.loop_id),
-                lanes=template.lanes, streams=len(template.streams),
-            )
-            self.observer.emit(
-                EventKind.LOOP_VERDICT, cycle=cycle, loop_id=hex(ctx.loop_id),
-                loop_kind=LoopKind.SENTINEL.value, vectorizable=True,
-            )
+        self._accept(ctx, entry, template.lanes, len(template.streams))
         self._begin_execution(ctx, entry, entry.spec_range, sentinel=True)
 
     # ------------------------------------------------------------------
     # conditional loops
     # ------------------------------------------------------------------
-    def _try_conditional_verdict(self, ctx: _LoopContext, record: TraceRecord) -> None:
+    def _try_conditional_verdict(self, ctx: _LoopContext) -> None:
         """Check the paper's two completion criteria: every loop-body PC was
         covered by some path, and every path has two sightings for CIDP."""
         body_pcs = set(range(ctx.loop_id, ctx.end_pc + 4, 4))
-        seen_pcs: set[int] = set()
-        for sig in ctx.path_windows:
-            seen_pcs.update(sig)
-        seen_pcs &= body_pcs
-        if seen_pcs != body_pcs:
+        if not body_pcs <= set().union(*ctx.path_windows):
             if ctx.iteration > 64:
                 # paths never complete (e.g. data-dependent rare branch);
                 # give up for this invocation
@@ -1168,11 +1128,10 @@ class DynamicSIMDAssembler:
         # instructions touch memory — stride verification needs two
         # addresses; an empty arm (e.g. the not-taken side of a
         # relaxation) is verified by a single pass
-        sigs_now = list(ctx.path_windows)
-        prefix_now = frozenset(_common_prefix(sigs_now))
-        suffix_now = frozenset(_common_suffix(sigs_now))
+        sigs = list(ctx.path_windows)
+        shared = frozenset(_common_prefix(sigs)) | frozenset(_common_suffix(sigs))
         for sig, pairs in ctx.path_windows.items():
-            unique = set(sig) - prefix_now - suffix_now
+            unique = set(sig) - shared
             needs_two = any(
                 rec.accesses and rec.pc in unique for _, w in pairs for rec in w
             )
@@ -1181,18 +1140,13 @@ class DynamicSIMDAssembler:
 
         # build one template per path
         path_templates: dict[tuple, LoopTemplate] = {}
-        sigs = list(ctx.path_windows)
-        prefix = _common_prefix(sigs)
-        suffix = _common_suffix(sigs)
         info = self._find_bound(ctx, ctx.last_window)
         if info is None:
-            self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, "no recognizable loop bound")
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.CONDITIONAL, "no recognizable loop bound")
             return
         remaining = self._remaining_iterations(info)
         last_iteration = ctx.iteration + remaining
         result_regs = 0
-        path_suppress: dict[tuple, frozenset] = {}
         for sig in sigs:
             window = ctx.path_windows[sig][-1][1]
             try:
@@ -1204,42 +1158,32 @@ class DynamicSIMDAssembler:
                     # vectorize, only the vector map records it
                     template = None
                 else:
-                    self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, str(exc), info=info)
-                    ctx.state = _State.SCALAR
+                    self._reject(ctx, LoopKind.CONDITIONAL, str(exc), info=info)
                     return
             # conservative: check the condition's streams against every
             # stream the verification cache observed (cross-path aliasing)
             verdict = predict_cid(list(ctx.streams.values()), last_iteration)
             if verdict.dependent:
-                self._cache_verdict(
-                    ctx, LoopKind.CONDITIONAL, False, "cross-iteration dependency", info=info
-                )
-                ctx.state = _State.SCALAR
+                self._reject(ctx, LoopKind.CONDITIONAL, "cross-iteration dependency", info=info)
                 return
             path_templates[sig] = template
             if template is not None:
                 result_regs += template.result_registers
-            path_suppress[sig] = frozenset(sig) - frozenset(prefix) - frozenset(suffix)
 
         if all(t is None for t in path_templates.values()):
-            self._cache_verdict(ctx, LoopKind.CONDITIONAL, False, "no vectorizable condition", info=info)
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.CONDITIONAL, "no vectorizable condition", info=info)
             return
 
         if not self.array_maps.can_allocate(result_regs):
-            self._cache_verdict(
-                ctx, LoopKind.CONDITIONAL, False, "insufficient array maps", info=info
-            )
-            ctx.state = _State.SCALAR
+            self._reject(ctx, LoopKind.CONDITIONAL, "insufficient array maps", info=info)
             return
 
         entry = CacheEntry(
             kind=LoopKind.CONDITIONAL,
             vectorizable=True,
             path_templates=path_templates,
-            path_suppress=path_suppress,
-            suppress_pcs=frozenset().union(*path_suppress.values()),
-            scalar_pcs=frozenset(prefix) | frozenset(suffix),
+            # each path's own pcs; the shared prefix/suffix stays scalar
+            suppress_pcs=frozenset().union(*sigs) - shared,
             cmp_pc=info["cmp_pc"],
             bound_kind=info["bound_kind"],
             bound_value=info["bound_value"],
@@ -1248,41 +1192,29 @@ class DynamicSIMDAssembler:
             branch_cond=info["cond"],
             must_reverify=(info["bound_kind"] == "reg"),
         )
-        self.cache.insert(ctx.loop_id, entry)
-        self.stats.verdicts[LoopKind.CONDITIONAL.value] += 1
-        if self.observer is not None:
-            cycle = self._obs_cycle()
-            templates = [t for t in path_templates.values() if t is not None]
-            self.observer.emit(
-                EventKind.TEMPLATE_BUILT, cycle=cycle, loop_id=hex(ctx.loop_id),
-                lanes=templates[0].lanes if templates else 0,
-                streams=len(ctx.streams), paths=len(path_templates),
-            )
-            self.observer.emit(
-                EventKind.LOOP_VERDICT, cycle=cycle, loop_id=hex(ctx.loop_id),
-                loop_kind=LoopKind.CONDITIONAL.value, vectorizable=True,
-            )
-        self._begin_conditional_execution(ctx, entry, remaining)
+        lanes = next(t.lanes for t in path_templates.values() if t is not None)
+        self._accept(ctx, entry, lanes, len(ctx.streams), paths=len(path_templates))
+        self._begin_conditional_execution(ctx, entry, lanes, remaining)
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _begin_execution(
-        self, ctx: _LoopContext, entry: CacheEntry, remaining: int, sentinel: bool = False
-    ) -> None:
-        template = entry.template
-        assert template is not None
-        if remaining < max(self.config.min_vector_iterations, template.lanes):
+    def _start(
+        self, ctx: _LoopContext, entry: CacheEntry, state: _State, lanes: int, remaining: int, **spec
+    ) -> bool:
+        """Hand the loop's timing to the vector unit in ``state`` (EXECUTE
+        or COND_EXECUTE); ``spec`` joins the SPEC_START payload.  Returns
+        False, leaving the loop scalar, when fewer iterations remain than
+        one vector's ``lanes`` (or the configured minimum)."""
+        if remaining < max(self.config.min_vector_iterations, lanes):
             ctx.state = _State.SCALAR
-            return
+            return False
         ctx.entry = entry
-        ctx.state = _State.EXECUTE
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.SPEC_START, cycle=self._obs_cycle(),
-                loop_id=hex(ctx.loop_id), loop_kind=entry.kind.value,
-                limit=remaining, sentinel=sentinel,
-            )
+        ctx.state = state
+        self._emit(
+            EventKind.SPEC_START, loop_id=hex(ctx.loop_id), loop_kind=entry.kind.value,
+            limit=remaining, **spec,
+        )
         ctx.first_covered = ctx.iteration + 1
         ctx.covered = 0
         ctx.invariants = dict(enumerate(self.core.regs)) if self.core else {}
@@ -1290,7 +1222,15 @@ class DynamicSIMDAssembler:
         ctx.suppress_active = True
         self.stats.stage_activations["store_id_execution"] += 1
         self.stats.vectorized_invocations[entry.kind.value] += 1
+        return True
 
+    def _begin_execution(
+        self, ctx: _LoopContext, entry: CacheEntry, remaining: int, sentinel: bool = False
+    ) -> None:
+        template = entry.template
+        assert template is not None
+        if not self._start(ctx, entry, _State.EXECUTE, template.lanes, remaining, sentinel=sentinel):
+            return
         if sentinel:
             ctx.suppress_limit = entry.spec_range
         elif entry.leftover is Leftover.SINGLE_ELEMENTS:
@@ -1299,7 +1239,8 @@ class DynamicSIMDAssembler:
         else:
             ctx.suppress_limit = remaining
         if self._verify_enabled:
-            ctx.snapshot = self._capture_snapshot(template, ctx.first_covered, ctx.suppress_limit or remaining)
+            ctx.snapshot = RegionSnapshot()
+            self._capture(ctx, template, ctx.suppress_limit or remaining)
         self._rebuild_suppression()
         if self.observer is not None:
             self._note_would_cover(ctx)
@@ -1312,77 +1253,44 @@ class DynamicSIMDAssembler:
         back.  Anchored to the state machine, not the run loop, so the
         emission points do not depend on block-compilation timing; configs
         that cannot cover (the knob off) emit nothing."""
-        if self.guard or self.injector is not None:
-            return
         core = self.core
         if core is None or not core.config.covered_execution:
             return
-        plan = self._cover_plan(ctx.loop_id, ctx.end_pc)
-        if plan is None or plan.block is None or ctx.suppress_pcs != plan.pcs:
+        if self._suppressed_cover_plan(ctx) is None:
             return
         self._cover_marked.add(ctx.loop_id)
-        self.observer.emit(
-            EventKind.LOOP_COVERED, cycle=self._obs_cycle(),
-            loop_id=hex(ctx.loop_id), mode="suppressed",
-        )
+        self._emit(EventKind.LOOP_COVERED, loop_id=hex(ctx.loop_id), mode="suppressed")
 
     def _note_rearm(self, ctx: _LoopContext, reason: str) -> None:
         if ctx.loop_id in self._cover_marked:
             self._cover_marked.discard(ctx.loop_id)
-            if self.observer is not None:
-                self.observer.emit(
-                    EventKind.COVER_REARM, cycle=self._obs_cycle(),
-                    loop_id=hex(ctx.loop_id), reason=reason,
-                )
+            self._emit(EventKind.COVER_REARM, loop_id=hex(ctx.loop_id), reason=reason)
 
-    def _begin_conditional_execution(self, ctx: _LoopContext, entry: CacheEntry, remaining: int) -> None:
-        lanes = next(t.lanes for t in entry.path_templates.values() if t is not None)
-        if remaining < max(self.config.min_vector_iterations, lanes):
-            ctx.state = _State.SCALAR
+    def _begin_conditional_execution(
+        self, ctx: _LoopContext, entry: CacheEntry, lanes: int, remaining: int
+    ) -> None:
+        if not self._start(ctx, entry, _State.COND_EXECUTE, lanes, remaining):
             return
-        ctx.entry = entry
-        ctx.state = _State.COND_EXECUTE
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.SPEC_START, cycle=self._obs_cycle(),
-                loop_id=hex(ctx.loop_id), loop_kind=entry.kind.value,
-                limit=remaining,
-            )
-        ctx.first_covered = ctx.iteration + 1
-        ctx.covered = 0
         ctx.suppress_limit = remaining
         ctx.path_map = []
         ctx.current_path = []
-        ctx.invariants = dict(enumerate(self.core.regs)) if self.core else {}
-        ctx.suppress_pcs = entry.suppress_pcs
-        ctx.suppress_active = True
         self.array_maps.allocate(
             sum(t.result_registers for t in entry.path_templates.values() if t is not None)
         )
-        self.stats.stage_activations["store_id_execution"] += 1
-        self.stats.vectorized_invocations[entry.kind.value] += 1
         if self._verify_enabled:
             ctx.snapshot = RegionSnapshot()
             for template in entry.path_templates.values():
                 if template is not None:
-                    self._capture_into(ctx.snapshot, template, ctx.first_covered, remaining, ctx.snapshot_done)
+                    self._capture(ctx, template, remaining)
         self._rebuild_suppression()
 
     # ------------------------------------------------------------------
-    def _capture_snapshot(self, template: LoopTemplate, first_iter: int, count: int) -> RegionSnapshot:
-        snap = RegionSnapshot()
-        self._capture_into(snap, template, first_iter, count, set())
-        return snap
-
-    def _capture_into(
-        self,
-        snap: RegionSnapshot,
-        template: LoopTemplate,
-        first_iter: int,
-        count: int,
-        done: set[int],
-    ) -> None:
-        assert self.core is not None
+    def _capture(self, ctx: _LoopContext, template: LoopTemplate, count: int) -> None:
+        """Snapshot, into ``ctx.snapshot``, the memory each of ``template``'s
+        streams spans over ``count`` iterations from ``ctx.first_covered``;
+        a stream pc shared by several path templates is captured once."""
+        assert self.core is not None and ctx.snapshot is not None
+        done = ctx.snapshot_done
         for pc, stream in template.streams.items():
             if pc in done:
                 continue
@@ -1390,19 +1298,17 @@ class DynamicSIMDAssembler:
             gap = stream.gap()
             if gap is None:
                 continue
-            start = stream.addr_at(first_iter)
+            start = stream.addr_at(ctx.first_covered)
             if start is None:
                 continue
             end = start + gap * (count + 1) + stream.dtype.size
             lo, hi = (start, end) if gap >= 0 else (end, start)
-            snap.capture(self.core.memory, lo - 16, (hi - lo) + 32)
+            ctx.snapshot.capture(self.core.memory, lo - 16, (hi - lo) + 32)
 
     # ------------------------------------------------------------------
     # cache-hit fast path
     # ------------------------------------------------------------------
-    def _start_from_cache(
-        self, loop_id: int, end_pc: int, entry: CacheEntry, record: TraceRecord
-    ) -> None:
+    def _start_from_cache(self, loop_id: int, end_pc: int, entry: CacheEntry) -> None:
         """DSA-cache hit.
 
         Known non-vectorizable loops go straight to the SCALAR state (the
@@ -1412,7 +1318,7 @@ class DynamicSIMDAssembler:
         sentinel's remembered speculative range) are picked up from
         ``ctx.entry`` during the re-analysis.
         """
-        ctx = _LoopContext(loop_id, end_pc, self)
+        ctx = _LoopContext(loop_id, end_pc)
         self.contexts[loop_id] = ctx
         self._ctx_snapshot = tuple(self.contexts.values())
         ctx.entry = entry
@@ -1434,13 +1340,10 @@ class DynamicSIMDAssembler:
         """
         self.stats.analyses_aborted += 1
         self._charge_stall(ctx.covered * max(1, len(ctx.suppress_pcs)))
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.SPEC_ROLLBACK, cycle=self._obs_cycle(),
-                loop_id=hex(ctx.loop_id),
-                reason=ctx.pending_abort_reason or "unknown path",
-                covered=ctx.covered,
-            )
+        self._emit(
+            EventKind.SPEC_ROLLBACK, loop_id=hex(ctx.loop_id),
+            reason=ctx.pending_abort_reason or "unknown path", covered=ctx.covered,
+        )
         ctx.suppress_active = False
         ctx.state = _State.SCALAR
         ctx.covered = 0
@@ -1451,12 +1354,10 @@ class DynamicSIMDAssembler:
     # ------------------------------------------------------------------
     # finalization
     # ------------------------------------------------------------------
-    def _finalize(self, ctx: _LoopContext, record: TraceRecord) -> None:
+    def _finalize(self, ctx: _LoopContext) -> None:
         try:
-            if ctx.state is _State.EXECUTE and ctx.covered:
-                self._commit_straight(ctx)
-            elif ctx.state is _State.COND_EXECUTE and ctx.covered:
-                self._commit_conditional(ctx)
+            if ctx.state in (_State.EXECUTE, _State.COND_EXECUTE) and ctx.covered:
+                self._commit(ctx)
             elif ctx.state in (_State.COLLECT, _State.ANALYZE, _State.MAP_ANALYZE):
                 self.stats.analyses_aborted += 1
         finally:
@@ -1467,15 +1368,38 @@ class DynamicSIMDAssembler:
             self._rebuild_suppression()
             self._note_rearm(ctx, "control left the region")
 
-    def _commit_straight(self, ctx: _LoopContext) -> None:
+    def _commit(self, ctx: _LoopContext) -> None:
+        """Charge the NEON bursts for the covered iterations, then verify
+        them against the scalar results."""
         entry = ctx.entry
-        assert entry is not None and entry.template is not None
+        assert entry is not None
+        lat = self.config.latencies
+        self._charge_stall(lat.pipeline_flush + lat.dsa_cache_access)
+        straight = ctx.state is _State.EXECUTE
+        if straight:
+            self._charge_straight(ctx, entry)
+        else:
+            self._charge_conditional(ctx, entry)
+        self.stats.iterations_covered += ctx.covered
+        self._emit(
+            EventKind.SPEC_COMMIT, loop_id=hex(ctx.loop_id), covered=ctx.covered,
+            loop_kind=entry.kind.value,
+        )
+        if self._verify_enabled and ctx.snapshot is not None:
+            try:
+                if straight:
+                    self._verify_straight(ctx, entry)
+                else:
+                    self._verify_conditional(ctx, entry)
+            except DSAVerificationError as exc:
+                self._guard_fallback(ctx, exc)
+
+    def _charge_straight(self, ctx: _LoopContext, entry: CacheEntry) -> None:
         template = entry.template
+        assert template is not None
         covered = ctx.covered
         lanes = template.lanes
         lat = self.config.latencies
-
-        self._charge_stall(lat.pipeline_flush + lat.dsa_cache_access)
         if entry.must_reverify:
             self._charge_stall(lat.verification_cache_access)
 
@@ -1507,25 +1431,8 @@ class DynamicSIMDAssembler:
             self._charge_template_burst(template, ctx.first_covered, quads, extra)
             self.stats.leftover_used[entry.leftover.value] += 1
 
-        self.stats.iterations_covered += covered
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.SPEC_COMMIT, cycle=self._obs_cycle(),
-                loop_id=hex(ctx.loop_id), covered=covered, loop_kind=entry.kind.value,
-            )
-        if self._verify_enabled and ctx.snapshot is not None:
-            try:
-                self._verify_straight(
-                    ctx, template, covered, partial=entry.kind is LoopKind.PARTIAL, chunk=entry.chunk
-                )
-            except DSAVerificationError as exc:
-                self._guard_fallback(ctx, exc)
-
-    def _commit_conditional(self, ctx: _LoopContext) -> None:
-        entry = ctx.entry
-        assert entry is not None
+    def _charge_conditional(self, ctx: _LoopContext, entry: CacheEntry) -> None:
         lat = self.config.latencies
-        self._charge_stall(lat.pipeline_flush + lat.dsa_cache_access)
         # the vector map is consulted every mapped iteration, but that is
         # DSA hardware running in parallel with the core (paper, Section
         # 4.1); only the end-of-loop result selection stalls the pipeline
@@ -1543,19 +1450,6 @@ class DynamicSIMDAssembler:
             span = ctx.first_covered + total_range - start
             quads = math.ceil(max(span, 0) / template.lanes)
             self._charge_template_burst(template, start, quads)
-        self.stats.iterations_covered += ctx.covered
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.SPEC_COMMIT, cycle=self._obs_cycle(),
-                loop_id=hex(ctx.loop_id), covered=ctx.covered,
-                loop_kind=entry.kind.value,
-            )
-
-        if self._verify_enabled and ctx.snapshot is not None:
-            try:
-                self._verify_conditional(ctx, entry)
-            except DSAVerificationError as exc:
-                self._guard_fallback(ctx, exc)
 
     # ------------------------------------------------------------------
     def _guard_fallback(self, ctx: _LoopContext, exc: DSAVerificationError) -> None:
@@ -1575,11 +1469,10 @@ class DynamicSIMDAssembler:
         self.stats.fallback_causes[f"loop_0x{ctx.loop_id:x}"] += 1
         lat = self.config.latencies
         self._charge_stall(lat.pipeline_flush + ctx.covered * max(1, len(ctx.suppress_pcs)))
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.GUARD_FALLBACK, cycle=self._obs_cycle(),
-                loop_id=hex(ctx.loop_id), cause=str(exc), covered=ctx.covered,
-            )
+        self._emit(
+            EventKind.GUARD_FALLBACK, loop_id=hex(ctx.loop_id), cause=str(exc),
+            covered=ctx.covered,
+        )
 
     # ------------------------------------------------------------------
     def _charge_template_burst(
@@ -1623,11 +1516,7 @@ class DynamicSIMDAssembler:
         timing.end_vector_burst()
         self.stats.bursts_charged += 1
         self.stats.vector_instructions += total
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.NEON_DISPATCH, cycle=self._obs_cycle(),
-                instructions=total, source="dsa_burst", quads=quads,
-            )
+        self._emit(EventKind.NEON_DISPATCH, instructions=total, source="dsa_burst", quads=quads)
 
     def _charge_stall(self, cycles: int) -> None:
         if self.core is not None and cycles:
@@ -1641,18 +1530,13 @@ class DynamicSIMDAssembler:
     # ------------------------------------------------------------------
     # functional verification
     # ------------------------------------------------------------------
-    def _verify_straight(
-        self,
-        ctx: _LoopContext,
-        template: LoopTemplate,
-        covered: int,
-        partial: bool = False,
-        chunk: int | None = None,
-    ) -> None:
+    def _verify_straight(self, ctx: _LoopContext, entry: CacheEntry) -> None:
         assert self.core is not None and ctx.snapshot is not None
         self.stats.verifications += 1
+        template = entry.template
+        covered, chunk = ctx.covered, entry.chunk
         first = ctx.first_covered
-        if partial and chunk:
+        if entry.kind is LoopKind.PARTIAL and chunk:
             done = 0
             while done < covered:
                 size = min(chunk, covered - done)
@@ -1752,26 +1636,35 @@ class DynamicSIMDAssembler:
         return Leftover.OVERLAPPING
 
     # ------------------------------------------------------------------
-    def _cache_verdict(
-        self,
-        ctx: _LoopContext,
-        kind: LoopKind,
-        vectorizable: bool,
-        reason: str,
-        info: dict | None = None,
-    ) -> None:
-        entry = CacheEntry(kind=kind, vectorizable=vectorizable, reason=reason)
+    # verdicts: every analysed loop ends in exactly one of these two
+    # ------------------------------------------------------------------
+    def _reject(self, ctx: _LoopContext, kind: LoopKind, reason: str, info: dict | None = None) -> None:
+        """Leave the loop scalar and cache why.
+
+        ``info`` (the loop bound, when one was found) marks a register
+        bound, so the verdict is re-checked on the next invocation.
+        """
+        entry = CacheEntry(kind=kind, vectorizable=False, reason=reason)
         if info is not None:
             entry.bound_kind = info["bound_kind"]
             entry.must_reverify = info["bound_kind"] == "reg"
         self.cache.insert(ctx.loop_id, entry)
-        self.stats.verdicts[kind.value if not vectorizable else kind.value] += 1
-        if self.observer is not None:
-            self.observer.emit(
-                EventKind.LOOP_VERDICT, cycle=self._obs_cycle(),
-                loop_id=hex(ctx.loop_id), loop_kind=kind.value,
-                vectorizable=vectorizable, reason=reason,
-            )
+        self.stats.verdicts[kind.value] += 1
+        self._emit(
+            EventKind.LOOP_VERDICT, loop_id=hex(ctx.loop_id), loop_kind=kind.value,
+            vectorizable=False, reason=reason,
+        )
+        ctx.state = _State.SCALAR
+
+    def _accept(self, ctx: _LoopContext, entry: CacheEntry, lanes: int, streams: int, **extra) -> None:
+        """Cache a vectorizable verdict for the template(s) in ``entry``;
+        the caller then starts execution.  ``extra`` joins the
+        TEMPLATE_BUILT payload."""
+        self.cache.insert(ctx.loop_id, entry)
+        self.stats.verdicts[entry.kind.value] += 1
+        loop_id = hex(ctx.loop_id)
+        self._emit(EventKind.TEMPLATE_BUILT, loop_id=loop_id, lanes=lanes, streams=streams, **extra)
+        self._emit(EventKind.LOOP_VERDICT, loop_id=loop_id, loop_kind=entry.kind.value, vectorizable=True)
 
 
 # ---------------------------------------------------------------------------
