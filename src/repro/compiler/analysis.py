@@ -17,7 +17,6 @@ from .ir import (
     Binary,
     BinOp,
     Call,
-    Compare,
     Const,
     Expr,
     For,
@@ -27,12 +26,10 @@ from .ir import (
     Load,
     Stmt,
     Store,
-    Unary,
     Var,
     While,
     stmt_exprs,
     subexprs,
-    walk_exprs,
     walk_stmts,
 )
 
@@ -129,10 +126,6 @@ class LoopFeatures:
     arrays_read: set[str] = field(default_factory=set)
     arrays_written: set[str] = field(default_factory=set)
     element_dtype: DType | None = None
-
-
-def direct_body_stmts(loop: For | While) -> list[Stmt]:
-    return loop.body
 
 
 def analyze_loop(loop: For, kernel: Kernel) -> LoopFeatures:

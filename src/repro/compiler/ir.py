@@ -294,9 +294,6 @@ class Kernel:
     def array_params(self) -> list[ArrayParam]:
         return [p for p in self.params if isinstance(p, ArrayParam)]
 
-    def scalar_params(self) -> list[ScalarParam]:
-        return [p for p in self.params if isinstance(p, ScalarParam)]
-
     def array(self, name: str) -> ArrayParam:
         for p in self.array_params():
             if p.name == name:

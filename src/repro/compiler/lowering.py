@@ -24,7 +24,6 @@ from ..isa.assembler import assemble
 from ..isa.dtypes import DType
 from ..isa.program import Program
 from .ir import (
-    ArrayParam,
     Binary,
     BinOp,
     Call,
@@ -39,7 +38,6 @@ from .ir import (
     Let,
     Load,
     Return,
-    ScalarParam,
     Stmt,
     Store,
     UnOp,

@@ -18,7 +18,7 @@ loop body remain scalar (paper, Table 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import CompilerError
 from ..isa.dtypes import DType

@@ -61,13 +61,11 @@ from ..isa.operands import Imm, IndexMode, Reg, ShiftKind
 from ..isa.dtypes import float_to_bits
 from .blockcompile import _COND_EXPR, _Unsupported, _arch_lines
 from .executor import Flags, alu_compute, float_compute, mul_compute
+from .hotspot import MAX_REGION_OPS
 
 #: instruction classes a *suppressed* (codegen) cover body may contain —
 #: the straight-line set the block compiler understands, minus vector ops
 _STRAIGHT_BODY = (Alu, Mov, Mul, FloatOp, Cmp, Mem, Nop)
-
-#: same complexity bound as the hotspot region finder
-MAX_COVER_OPS = 96
 
 
 class CoverRegion:
@@ -276,7 +274,7 @@ def scan_region(dec, head_pc: int, end_pc: int) -> CoverRegion | None:
         or end <= head
         or head_pc != base + (head << 2)
         or end_pc != base + (end << 2)
-        or end - head + 1 > MAX_COVER_OPS
+        or end - head + 1 > MAX_REGION_OPS
     ):
         return None
     ops = dec.ops

@@ -9,7 +9,7 @@ pointing the DSA at it, and for the examples' reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .trace import TraceRecord
 

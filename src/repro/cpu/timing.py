@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..isa.instructions import (
     Alu,
-    AluKind,
     Branch,
     BranchReg,
     Cmp,

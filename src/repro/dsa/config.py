@@ -17,7 +17,7 @@ dissertation's articles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 
@@ -96,9 +96,6 @@ class DSAConfig:
     @property
     def verification_cache_entries(self) -> int:
         return self.verification_cache_bytes // self.verification_entry_bytes
-
-    def with_features(self, features: DSAFeatures) -> "DSAConfig":
-        return replace(self, features=features)
 
 
 ORIGINAL_DSA_CONFIG = DSAConfig(features=DSAFeatures.original())

@@ -1636,7 +1636,8 @@ class DynamicSIMDAssembler:
         return Leftover.OVERLAPPING
 
     # ------------------------------------------------------------------
-    # verdicts: every analysed loop ends in exactly one of these two
+    # verdicts: every analysis verdict is cached, counted and reported
+    # through one of these two
     # ------------------------------------------------------------------
     def _reject(self, ctx: _LoopContext, kind: LoopKind, reason: str, info: dict | None = None) -> None:
         """Leave the loop scalar and cache why.

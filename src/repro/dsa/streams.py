@@ -43,10 +43,6 @@ class MemStream:
     def first_addr(self) -> int:
         return self.samples[0][1]
 
-    @property
-    def first_iteration(self) -> int:
-        return self.samples[0][0]
-
     def gap(self) -> int | None:
         """Per-iteration address gap; None when irregular or unknown."""
         samples = self.samples

@@ -9,7 +9,7 @@ power over the run's wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..cpu.core import Core, CoreResult
 from .params import DEFAULT_ENERGY_PARAMS, EnergyParams

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plan import FaultPlan, FaultSpec
+from .plan import FaultPlan
 
 
 @dataclass

@@ -12,11 +12,11 @@ rather than re-decoding text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .dtypes import DType
-from .operands import Address, Cond, Imm, IndexMode, Operand2, Reg, ShiftedReg
+from .operands import Address, Cond, Operand2, Reg, ShiftedReg
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,6 @@ class Program:
     def instr_at(self, addr: int) -> Instruction:
         return self.instructions[self.index_of(addr)]
 
-    def label_at(self, addr: int) -> str | None:
-        """Return a label bound to ``addr`` if one exists (first match)."""
-        for name, a in self.labels.items():
-            if a == addr:
-                return name
-        return None
-
     def disassemble(self) -> str:
         """Render the program back to canonical assembly text."""
         addr_to_labels: dict[int, list[str]] = {}

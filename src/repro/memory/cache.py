@@ -7,7 +7,7 @@ memory system does the same when run in atomic mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 

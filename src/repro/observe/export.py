@@ -16,9 +16,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .events import Event
-from .spans import Span
-
 #: chrome trace format constants
 _PID = 1
 _TID_SPANS = 1

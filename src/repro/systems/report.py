@@ -10,7 +10,7 @@ records alike — both expose ``cycles``, ``improvement_over``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .metrics import RunResult
 from .setups import SystemResult

@@ -8,7 +8,7 @@ exact mapping), ``sp`` pointing at the spill frame.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

@@ -32,7 +32,7 @@ from ..campaign import CampaignRunner, RunSpec, _worker_run
 from ..isolation import IsolatedExecutor
 from ..metrics import RunResult
 from .jobs import JobStore
-from .journal import JobRecord, JobState
+from .journal import JobRecord
 
 
 def _service_worker(task: tuple, _executor_attempt: int):

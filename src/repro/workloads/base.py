@@ -10,7 +10,7 @@ every simulated system can be checked bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
