@@ -195,8 +195,8 @@ class DynamicSIMDAssembler:
     ``observer`` attaches a :class:`repro.observe.Observer` that receives
     a typed event for every decision the state machine takes (loop
     detection, verdicts, speculation start/commit/rollback, guard
-    fallbacks, NEON bursts); with the default ``None`` every emission
-    site is a single pointer comparison, off the record hot path.
+    fallbacks, NEON bursts); with the default ``None`` an emission is one
+    call to ``_emit`` and a pointer comparison, off the record hot path.
     """
 
     def __init__(
