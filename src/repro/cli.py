@@ -12,8 +12,6 @@ Commands
 ``area``         print the DSA area table (Article 1, Table 3)
 ``trace``        run one spec instrumented; export Chrome tracing / JSONL / Prometheus
 ``stats``        per-loop-type DSA coverage table (paper loop taxonomy)
-``serve``        long-lived crash-safe campaign service (journaled HTTP job API)
-``submit``       submit a RunSpec batch to a running service and await verdicts
 
 Configuration mistakes (unknown workload, experiment, system, ...) print a
 one-line error naming the valid choices and exit with status 2 — never a
@@ -353,170 +351,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .observe import Observer
-    from .observe.events import EventKind
-    from .systems.service import (
-        AdmissionConfig,
-        CampaignService,
-        JobJournal,
-        JobStore,
-        Supervisor,
-        SupervisorConfig,
-    )
-
-    plan = FaultPlan.load(args.inject) if args.inject else None
-
-    async def serve() -> int:
-        journal = JobJournal(args.journal)
-        store = JobStore(journal)
-        recovered = store.recover()
-        observer = Observer()
-        for job in recovered:
-            observer.emit(EventKind.JOB_RECOVERED, job=job.job_id)
-        supervisor = Supervisor(
-            store,
-            SupervisorConfig(
-                jobs=args.jobs,
-                timeout=args.timeout,
-                retries=args.retries,
-                backoff=args.backoff,
-                jitter=args.jitter,
-                quarantine_threshold=args.quarantine_threshold,
-                drain_grace=args.drain_grace,
-            ),
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            cache_max_bytes=args.cache_budget,
-            guard=args.guard,
-            fault_plan=plan,
-            observe=args.observe,
-            observer=observer,
-        )
-        service = CampaignService(
-            store, supervisor,
-            AdmissionConfig(max_queue=args.max_queue, per_client_limit=args.per_client),
-            observer=observer,
-        )
-        host, port = await service.start(args.host, args.port)
-
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        import signal
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        # the readiness line the smoke tests and operators wait for
-        print(
-            f"serving on {host}:{port} (journal {args.journal}, "
-            f"{len(recovered)} job(s) recovered)",
-            file=sys.stderr, flush=True,
-        )
-        run_task = asyncio.create_task(supervisor.run())
-        await stop.wait()
-        in_flight = await supervisor.drain()
-        await service.stop()
-        run_task.cancel()
-        journal.close()
-        print(
-            f"drained ({in_flight} job(s) were in flight; interrupted jobs "
-            f"resume from the journal on the next start)",
-            file=sys.stderr,
-        )
-        return 0
-
-    return asyncio.run(serve())
-
-
-def _parse_service_url(url: str) -> tuple[str, int]:
-    from urllib.parse import urlparse
-
-    parsed = urlparse(url if "//" in url else f"http://{url}")
-    if not parsed.hostname:
-        raise ConfigError(f"cannot parse service URL {url!r}")
-    return parsed.hostname, parsed.port or 8321
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .systems.service import ServiceClient, ServiceUnavailable
-
-    host, port = _parse_service_url(args.url)
-    client = ServiceClient(host, port)
-    try:
-        client.wait_ready(timeout=args.connect_timeout)
-        if args.await_jobs:
-            with open(args.await_jobs, "r", encoding="utf-8") as fh:
-                job_ids = json.load(fh)["jobs"]
-            print(f"awaiting {len(job_ids)} previously submitted job(s)", file=sys.stderr)
-        else:
-            specs = [
-                spec.to_dict()
-                for spec in default_matrix(
-                    scale=args.scale,
-                    workloads=args.workloads,
-                    systems=args.systems,
-                    dsa_stages=tuple(args.dsa_stages),
-                    seed=args.seed,
-                    backend=args.backend,
-                    vl=args.vl,
-                )
-            ]
-            accepted = client.submit(specs, client=args.client)
-            job_ids = accepted["jobs"]
-            print(
-                f"submitted batch {accepted['batch']}: {len(job_ids)} job(s)",
-                file=sys.stderr,
-            )
-            if args.ids_out:
-                with open(args.ids_out, "w", encoding="utf-8") as fh:
-                    json.dump({"batch": accepted["batch"], "jobs": job_ids}, fh)
-                    fh.write("\n")
-        if args.no_wait:
-            for job_id in job_ids:
-                print(job_id)
-            return 0
-        records = client.wait_jobs(job_ids, timeout=args.wait_timeout)
-    except ServiceUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    header = ["job", "label", "state", "source", "cycles"]
-    rows = []
-    failed = 0
-    for job_id in job_ids:
-        record = records[job_id]
-        done = record["state"] == "done"
-        if not done:
-            failed += 1
-        rows.append([
-            job_id,
-            f"{record['spec']['workload']}/{record['spec']['system']}",
-            record["state"],
-            record.get("source") or "-",
-            str(record["result"]["cycles"]) if done else "-",
-        ])
-    widths = [max(len(header[i]), max((len(r[i]) for r in rows), default=0))
-              for i in range(len(header))]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    if failed:
-        for job_id in job_ids:
-            record = records[job_id]
-            if record["state"] != "done":
-                error = record.get("error") or {}
-                print(
-                    f"failed: {job_id}: {error.get('kind')}: {error.get('cause')}",
-                    file=sys.stderr,
-                )
-        return 3
-    return 0
-
-
 def _cmd_workloads(args: argparse.Namespace) -> int:
     # paper benchmarks first (registry order), then the streaming family
     for name in ALL_WORKLOADS:
@@ -694,77 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="DSA area table")
     p.set_defaults(func=_cmd_area)
 
-    p = sub.add_parser(
-        "serve",
-        help="long-lived campaign service: journaled job store + supervised workers",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8321)
-    p.add_argument("--journal", default=".repro-cache/service-journal.jsonl",
-                   metavar="FILE.jsonl",
-                   help="write-ahead job journal; replayed on startup to resume after a crash")
-    p.add_argument("--jobs", type=int, default=2, metavar="N",
-                   help="concurrent worker processes (default: 2)")
-    p.add_argument("--timeout", type=float, default=120.0, metavar="SECONDS",
-                   help="per-attempt worker heartbeat deadline (default: 120)")
-    p.add_argument("--retries", type=int, default=2, metavar="N",
-                   help="extra attempts per job (default: 2)")
-    p.add_argument("--backoff", type=float, default=0.5, metavar="SECONDS",
-                   help="base retry delay, doubled each attempt (default: 0.5)")
-    p.add_argument("--jitter", type=float, default=0.25, metavar="FRACTION",
-                   help="random extra retry delay fraction (default: 0.25)")
-    p.add_argument("--quarantine-threshold", type=int, default=3, metavar="N",
-                   help="consecutive worker deaths before a (workload, system) cell is quarantined")
-    p.add_argument("--drain-grace", type=float, default=10.0, metavar="SECONDS",
-                   help="SIGTERM drain: how long in-flight jobs may finish (default: 10)")
-    p.add_argument("--max-queue", type=int, default=256, metavar="N",
-                   help="queued-job bound before submissions get 429 (default: 256)")
-    p.add_argument("--per-client", type=int, default=64, metavar="N",
-                   help="non-terminal jobs one client may hold (default: 64)")
-    p.add_argument("--cache-budget", type=int, default=None, metavar="BYTES",
-                   help="LRU size budget for the result cache (default: unbounded)")
-    p.add_argument("--guard", action="store_true",
-                   help="guarded DSA execution for all served runs")
-    p.add_argument("--inject", default=None, metavar="PLAN.json",
-                   help="fault plan applied to served runs (the chaos suite's hook)")
-    p.add_argument("--observe", action="store_true",
-                   help="attach per-run observers; profiles ride on job records")
-    p.add_argument("--no-cache", action="store_true",
-                   help="skip the on-disk result cache entirely")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="result cache location (default: $REPRO_CACHE_DIR or .repro-cache/results)")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "submit",
-        help="submit a workload × system batch to a running campaign service",
-    )
-    p.add_argument("--url", default="http://127.0.0.1:8321",
-                   help="service base URL (default: http://127.0.0.1:8321)")
-    p.add_argument("--scale", default="test", choices=("test", "bench", "full"))
-    p.add_argument("--workloads", nargs="*", default=None,
-                   help="workload ids (default: all seven; micro:<kind> also allowed)")
-    p.add_argument("--systems", nargs="*", default=None, choices=SYSTEM_NAMES,
-                   help="systems to run (default: all four)")
-    p.add_argument("--dsa-stages", nargs="*", default=["full"], choices=tuple(DSA_STAGES))
-    p.add_argument("--seed", type=int, default=None, help="input RNG seed override")
-    p.add_argument("--backend", default="neon", choices=BACKEND_NAMES,
-                   help="vector backend for every submitted run (default: neon)")
-    p.add_argument("--vl", type=int, default=128, choices=VALID_VECTOR_LENGTHS,
-                   help="vector length in bits for the scalable backend (default: 128)")
-    p.add_argument("--client", default="cli", help="client id for admission accounting")
-    p.add_argument("--no-wait", action="store_true",
-                   help="print job ids and exit without polling for completion")
-    p.add_argument("--ids-out", default=None, metavar="FILE.json",
-                   help="write the accepted batch/job ids (pairs with --await-jobs)")
-    p.add_argument("--await-jobs", default=None, metavar="FILE.json",
-                   help="skip submission; await the job ids recorded by --ids-out "
-                        "(crash-recovery workflows)")
-    p.add_argument("--connect-timeout", type=float, default=10.0, metavar="SECONDS",
-                   help="how long to wait for the service to come up (default: 10)")
-    p.add_argument("--wait-timeout", type=float, default=600.0, metavar="SECONDS",
-                   help="how long to wait for terminal job states (default: 600)")
-    p.set_defaults(func=_cmd_submit)
     return parser
 
 

@@ -45,15 +45,6 @@ class EventKind(str, Enum):
     # isolation
     WORKER_RETRY = "worker_retry"         # a failed run was rescheduled
     WORKER_TIMEOUT = "worker_timeout"     # a worker blew its deadline and was killed
-    # service lifecycle (repro.systems.service)
-    SERVICE_START = "service_start"       # the campaign service came up
-    SERVICE_DRAIN = "service_drain"       # graceful shutdown began (SIGTERM)
-    JOB_ADMITTED = "job_admitted"         # a submitted job passed admission control
-    JOB_REJECTED = "job_rejected"         # admission refused a request (backpressure/validation)
-    JOB_DONE = "job_done"                 # a job reached a terminal success state
-    JOB_FAILED = "job_failed"             # a job reached a terminal failure state
-    JOB_RECOVERED = "job_recovered"       # journal replay re-queued an interrupted job
-    CELL_QUARANTINED = "cell_quarantined" # circuit breaker gave up on a (workload, system) cell
 
 
 #: required payload keys per kind (extra keys are always allowed)
@@ -74,14 +65,6 @@ EVENT_FIELDS: dict[EventKind, frozenset] = {
     EventKind.CACHE_MISS: frozenset({"cache", "key"}),
     EventKind.WORKER_RETRY: frozenset({"task", "attempt", "status"}),
     EventKind.WORKER_TIMEOUT: frozenset({"task", "attempt", "deadline_s"}),
-    EventKind.SERVICE_START: frozenset({"jobs"}),
-    EventKind.SERVICE_DRAIN: frozenset({"in_flight"}),
-    EventKind.JOB_ADMITTED: frozenset({"job", "client"}),
-    EventKind.JOB_REJECTED: frozenset({"reason"}),
-    EventKind.JOB_DONE: frozenset({"job", "source"}),
-    EventKind.JOB_FAILED: frozenset({"job", "kind"}),
-    EventKind.JOB_RECOVERED: frozenset({"job"}),
-    EventKind.CELL_QUARANTINED: frozenset({"cell", "deaths"}),
 }
 
 

@@ -109,8 +109,8 @@ class RunSpec:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        # the default (neon, 128) is omitted so pre-backend spec records,
-        # journals and cache payloads stay byte-identical
+        # the default (neon, 128) is omitted so pre-backend spec records
+        # and cache payloads stay byte-identical
         if self.backend == "neon" and self.vl == 128:
             del d["backend"], d["vl"]
         return d
@@ -236,9 +236,9 @@ class CampaignResult:
     jobs: int = 1
     cache_dir: str | None = None
     failures: list[RunFailure] = field(default_factory=list)
-    #: graceful-degradation counters (cache quarantines/evictions, stale
-    #: drops) — zero on a healthy campaign, surfaced so operators *see*
-    #: recoveries instead of inferring them
+    #: graceful-degradation counters (cache quarantines, stale drops) —
+    #: zero on a healthy campaign, surfaced so operators *see* recoveries
+    #: instead of inferring them
     degradation: dict = field(default_factory=dict)
 
     @property
@@ -389,7 +389,7 @@ class CampaignRunner:
         # the spec's backend/vl override the runner-level cpu_config at
         # execution time (see execute_spec), so the key must hash the
         # *effective* config — plus the pair explicitly, so NEON results
-        # can never be shadowed or evicted by a scalable sweep
+        # can never be shadowed or overwritten by a scalable sweep
         cpu_config = dc_replace(
             self.cpu_config or DEFAULT_CPU_CONFIG,
             vector_backend=spec.backend,

@@ -58,10 +58,7 @@ class IsolatedOutcome:
         return self.status == "ok"
 
 
-def _child_main(
-    conn, fn: Callable, task, attempt: int, stderr_path: str | None,
-    close_fds: tuple = (),
-) -> None:
+def _child_main(conn, fn: Callable, task, attempt: int, stderr_path: str | None) -> None:
     """Child entry point: run the task, ship the outcome through the pipe.
 
     A fault that hard-exits or hangs simply never sends anything; the
@@ -69,14 +66,6 @@ def _child_main(
     plus whatever the child managed to write to its redirected stderr,
     which is the only forensic record a hard death leaves behind.
     """
-    for fd in close_fds:
-        # under the fork start method a worker inherits every parent fd —
-        # including a service's listening socket, which would keep the
-        # port bound after the service dies and block its restart
-        try:
-            os.close(fd)
-        except OSError:
-            pass
     if stderr_path is not None:
         try:
             fd = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -144,7 +133,6 @@ class IsolatedExecutor:
         backoff: float = 0.5,
         on_complete: Callable[[int, IsolatedOutcome], None] | None = None,
         observer=None,
-        close_fds: tuple = (),
     ):
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
@@ -162,9 +150,6 @@ class IsolatedExecutor:
         #: WORKER_TIMEOUT events (parent-process side; never pickled)
         self.observer = observer
         self._ctx = mp.get_context()
-        # fd numbers are only meaningful in a fork child; spawn/forkserver
-        # children never inherit them, and closing would hit innocent fds
-        self.close_fds = tuple(close_fds) if self._ctx.get_start_method() == "fork" else ()
 
     # ------------------------------------------------------------------
     def run(self, tasks: list) -> list[IsolatedOutcome]:
@@ -209,7 +194,7 @@ class IsolatedExecutor:
             os.close(fd)
             proc = self._ctx.Process(
                 target=_child_main,
-                args=(send, self.fn, tasks[index], attempt, stderr_path, self.close_fds),
+                args=(send, self.fn, tasks[index], attempt, stderr_path),
                 daemon=True,
             )
             proc.start()

@@ -87,7 +87,7 @@ class RunResult:
                 stats[name] = dict(stats[name])
             d["dsa_stats"] = stats
         # the default backend (neon, 128) is omitted so pre-backend result
-        # records, journals and cache payloads stay byte-identical
+        # records and cache payloads stay byte-identical
         if self.backend == "neon" and self.vl == 128:
             del d["backend"], d["vl"]
         del d["tier_counts"]  # observability, never result identity

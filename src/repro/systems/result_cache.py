@@ -16,11 +16,7 @@ of both the temp file and the directory, so a host power-loss cannot leave
 a zero-length committed entry — the checksum covers whatever torn-write
 window remains.
 
-Capacity: an optional LRU size budget (``max_bytes``) evicts the
-least-recently-used entries once the cache grows past it; a warm index of
-``key → (size, last-used)`` is built from one directory scan at startup.
-
-Every degradation event (quarantine, eviction, stale drop) is counted on
+Every degradation event (quarantine, stale drop) is counted on
 :class:`CacheStats` so callers can *report* graceful degradation instead of
 leaving it invisible.
 """
@@ -96,7 +92,6 @@ class CacheStats:
     stores: int = 0
     corrupt_quarantined: int = 0   # damaged entries moved to corrupt/
     stale_dropped: int = 0         # version-mismatch entries removed
-    evicted: int = 0               # LRU evictions under the size budget
 
     def to_dict(self) -> dict:
         return {
@@ -105,7 +100,6 @@ class CacheStats:
             "stores": self.stores,
             "corrupt_quarantined": self.corrupt_quarantined,
             "stale_dropped": self.stale_dropped,
-            "evicted": self.evicted,
         }
 
     def degradation(self) -> dict:
@@ -113,32 +107,16 @@ class CacheStats:
         return {
             "corrupt_quarantined": self.corrupt_quarantined,
             "stale_dropped": self.stale_dropped,
-            "evicted": self.evicted,
         }
 
 
 class ResultDiskCache:
-    """Maps content keys to JSON payloads under one directory.
+    """Maps content keys to JSON payloads under one directory."""
 
-    ``max_bytes`` enables the LRU size budget: each ``store`` that pushes
-    the total entry size past the budget evicts least-recently-used entries
-    until it fits (the entry just stored is never evicted).
-    """
-
-    def __init__(
-        self,
-        root: Path | str | None = None,
-        enabled: bool = True,
-        max_bytes: int | None = None,
-    ):
+    def __init__(self, root: Path | str | None = None, enabled: bool = True):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.enabled = enabled
-        self.max_bytes = max_bytes
         self.stats = CacheStats()
-        #: key → [size_bytes, last_used_tick]; populated by warm_index()
-        self._index: dict[str, list] = {}
-        self._indexed = False
-        self._tick = 0
 
     # ------------------------------------------------------------------
     # paths
@@ -149,69 +127,6 @@ class ResultDiskCache:
     @property
     def corrupt_dir(self) -> Path:
         return self.root / CORRUPT_DIR
-
-    def _entry_files(self):
-        """Every committed entry file, excluding the quarantine area."""
-        if not self.root.exists():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir() or shard.name == CORRUPT_DIR:
-                continue
-            yield from sorted(shard.glob("*.json"))
-
-    # ------------------------------------------------------------------
-    # warm index / LRU bookkeeping
-    # ------------------------------------------------------------------
-    def warm_index(self) -> int:
-        """One directory scan building the ``key → (size, last-used)`` index
-        (last-used seeded from file mtimes).  Returns the entry count."""
-        self._index = {}
-        order = []
-        for path in self._entry_files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            order.append((stat.st_mtime, path.stem, stat.st_size))
-        order.sort()
-        for mtime, key, size in order:
-            self._tick += 1
-            self._index[key] = [size, self._tick]
-        self._indexed = True
-        return len(self._index)
-
-    def _ensure_index(self) -> None:
-        if not self._indexed:
-            self.warm_index()
-
-    def _touch(self, key: str) -> None:
-        entry = self._index.get(key)
-        if entry is not None:
-            self._tick += 1
-            entry[1] = self._tick
-
-    def total_bytes(self) -> int:
-        self._ensure_index()
-        return sum(size for size, _ in self._index.values())
-
-    def _evict_over_budget(self, protect: str | None = None) -> int:
-        """Drop least-recently-used entries until the budget fits."""
-        if self.max_bytes is None:
-            return 0
-        removed = 0
-        total = self.total_bytes()
-        by_age = sorted(self._index.items(), key=lambda kv: kv[1][1])
-        for key, (size, _) in by_age:
-            if total <= self.max_bytes:
-                break
-            if key == protect:
-                continue
-            self.path_for(key).unlink(missing_ok=True)
-            del self._index[key]
-            total -= size
-            removed += 1
-        self.stats.evicted += removed
-        return removed
 
     # ------------------------------------------------------------------
     # quarantine
@@ -229,7 +144,6 @@ class ResultDiskCache:
         except OSError:
             path.unlink(missing_ok=True)  # quarantine best-effort, miss regardless
         self.stats.corrupt_quarantined += 1
-        self._index.pop(path.stem, None)
 
     # ------------------------------------------------------------------
     # load / store
@@ -252,7 +166,6 @@ class ResultDiskCache:
         if not isinstance(payload, dict) or payload.get("cache_version") != CACHE_VERSION:
             # an old layout, not damage: drop it so the slot recomputes cleanly
             path.unlink(missing_ok=True)
-            self._index.pop(key, None)
             self.stats.stale_dropped += 1
             self.stats.misses += 1
             return None
@@ -261,7 +174,6 @@ class ResultDiskCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._touch(key)
         return payload
 
     def store(self, key: str, payload: dict) -> None:
@@ -286,11 +198,6 @@ class ResultDiskCache:
             Path(tmp).unlink(missing_ok=True)
             raise
         self.stats.stores += 1
-        if self.max_bytes is not None or self._indexed:
-            self._ensure_index()
-            self._tick += 1
-            self._index[key] = [path.stat().st_size, self._tick]
-            self._evict_over_budget(protect=key)
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:
@@ -316,8 +223,6 @@ class ResultDiskCache:
             for path in self.root.rglob(pattern):
                 path.unlink(missing_ok=True)
                 removed += 1
-        self._index = {}
-        self._indexed = False
         return removed
 
     def prune_tmp(self) -> int:

@@ -9,7 +9,8 @@ the architected state at a ``max_instructions`` cut — must be identical
 bit for bit with covering disabled, across guard mode, fault plans,
 attached observers and vector backends.  The golden run matrix
 (``tests/golden_runs.json``) pins both settings absolutely so they cannot
-drift together.
+drift together; ``tests/test_golden_runs.py`` checks covering off as its
+``uncovered`` variant.
 """
 
 import json
@@ -30,8 +31,6 @@ from repro.systems.campaign import RunSpec, execute_spec
 from repro.systems.setups import DSA_STAGES, run_system
 from repro.workloads import load
 from repro.workloads.synthetic import LOOP_TYPE_MICROKERNELS
-
-from ..regen_golden_runs import assert_golden
 
 COVERED = CPUConfig(covered_execution=True)
 UNCOVERED = CPUConfig(covered_execution=False)
@@ -98,15 +97,6 @@ class TestObserverIdentity:
         assert EventKind.COVER_REARM in kinds
         for event in covered:
             assert event.args["mode"] in ("suppressed", "scalar", "postlimit")
-
-
-class TestGoldenSnapshot:
-    """Covering disabled must still reproduce the golden matrix the
-    covered-by-default config is pinned to."""
-
-    @pytest.mark.parametrize("kind", MICRO_KINDS)
-    def test_uncovered_matches_fixture(self, kind):
-        assert_golden(RunSpec(f"micro:{kind}", "neon_dsa", seed=3), UNCOVERED)
 
 
 class TestMidLoopRearm:

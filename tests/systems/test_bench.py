@@ -95,6 +95,10 @@ class TestCheckBaseline:
         report = self.fake_report(0.9)
         assert check_baseline(report, base) == []
 
+    def test_report_passes_its_own_record(self):
+        report = tiny_report()
+        assert check_baseline(report, report.to_json()) == []
+
     def test_tolerance_validated(self):
         with pytest.raises(ConfigError):
             check_baseline(self.fake_report(1.0), self.baseline(1.0), tolerance=0.0)
@@ -129,8 +133,17 @@ class TestBenchCLI:
         assert main(self.ARGS + ["-o", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["bench_version"] == 1
-        # a fresh measurement on the same machine passes its own baseline
-        assert main(self.ARGS + ["--check-baseline", str(out)]) == 0
+        # the pass path against a baseline 1000x slower than this run, so
+        # host noise between two timings cannot fail it (a report against
+        # its own record is checked in TestCheckBaseline)
+        payload["aggregate"]["guest_mips"] /= 1000
+        for run in payload["runs"]:
+            run["guest_mips"] /= 1000
+        baseline = tmp_path / "deflated.json"
+        baseline.write_text(json.dumps(payload))
+        again = tmp_path / "again.json"
+        assert main(self.ARGS + ["-o", str(again), "--check-baseline", str(baseline)]) == 0
+        assert json.loads(again.read_text())["bench_version"] == 1
 
     def test_regression_exits_4(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
